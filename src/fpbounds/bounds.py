@@ -58,6 +58,13 @@ class BoundResult:
     l: int
     witness: FixedPointProfile | None = None
 
+    def value_for(self, c1_zero: bool) -> int:
+        """The lower bound, raised to at least 24 when c1 = 0 and the
+        refinement applies (see c1_zero_refinement_applies)."""
+        if c1_zero and c1_zero_refinement_applies(self.n):
+            return max(self.value, 24)
+        return self.value
+
 
 @dataclass(frozen=True)
 class DivisibilityResult:
@@ -211,10 +218,7 @@ def min_fixed_points(n: int, c1_zero: bool = False) -> int:
     """The lower bound for the number of fixed points, using the c1 = 0
     refinement (at least 24) when it applies and the case analysis
     otherwise."""
-    base = closed_form_bound(n).value
-    if c1_zero and c1_zero_refinement_applies(n):
-        return max(base, 24)
-    return base
+    return closed_form_bound(n).value_for(c1_zero)
 
 
 class ComparisonRow(NamedTuple):

@@ -26,7 +26,7 @@ from .chern import (
     expand,
     parse_profile,
 )
-from .minimizer import enumerate_feasible, minimize_even, minimize_odd
+from .minimizer import BoxTooLarge, enumerate_feasible, minimize_even, minimize_odd
 
 __all__ = ["main", "cli", "TableRow", "summary_rows"]
 
@@ -48,11 +48,12 @@ def summary_rows(dims: list[int]) -> list[TableRow]:
     rows = []
     for dim in dims:
         n = dim // 2
-        low = min_fixed_points(n)
+        base = closed_form_bound(n)
+        low = base.value
         mod = divisibility_modulus(n)
         variant = None
         if c1_zero_refinement_applies(n):
-            vlow = min_fixed_points(n, c1_zero=True)
+            vlow = base.value_for(c1_zero=True)
             vmod = divisibility_refined(n, c1_zero=True).modulus_refined
             variant = (vlow, vlow + vmod, vlow + 2 * vmod)
         rows.append(
@@ -176,7 +177,7 @@ def _require_half_dimension(n: int) -> None:
 
 def _bound_payload(n: int, c1_zero: bool, with_witness: bool) -> dict:
     base = closed_form_bound(n)
-    value = min_fixed_points(n, c1_zero=c1_zero)
+    value = base.value_for(c1_zero)
     if value != base.value:
         branch = "c1-zero/24"
         l = value * base.r // 12
@@ -369,7 +370,13 @@ def _verify_checks(max_m: int, lattice_max_n: int) -> tuple[list[str], list[str]
     lattice_bad = []
     for n in range(2, lattice_max_n + 1):
         expected = closed_form_bound(n).value
-        feasible = enumerate_feasible(n, value_cap=48)
+        try:
+            feasible = enumerate_feasible(n, value_cap=48)
+        except BoxTooLarge as exc:
+            raise click.UsageError(
+                f"--lattice-max-n {lattice_max_n} is beyond the lattice box guard, "
+                f"first tripped at n = {n}: {exc}"
+            )
         if not feasible or feasible[0].minimum != expected:
             got = feasible[0].minimum if feasible else None
             lattice_bad.append(f"n={n}: closed-form={expected}, lattice={got}")

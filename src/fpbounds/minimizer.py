@@ -21,9 +21,9 @@ from enum import Enum
 from .chern import FixedPointProfile, Parity, ReducedProfile, expand
 from .numtheory import (
     DecompositionKind,
-    min_squares,
+    _min_squares_count,
+    _min_triangulars_count,
     min_squares_bruteforce,
-    min_triangulars,
     min_triangulars_bruteforce,
 )
 
@@ -82,8 +82,8 @@ def _bounded_min_count(target: int, generator_cap: int, kind: DecompositionKind)
         return 0
     if target <= kind.part_value(generator_cap):
         if kind is DecompositionKind.SQUARES:
-            return min_squares(target)[0]
-        return min_triangulars(target)[0]
+            return _min_squares_count(target)
+        return _min_triangulars_count(target)
     if kind is DecompositionKind.SQUARES:
         return min_squares_bruteforce(target, generator_cap)[0]
     return min_triangulars_bruteforce(target, generator_cap)[0]

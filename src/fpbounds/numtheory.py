@@ -46,16 +46,21 @@ def _sieve_primes(limit: int) -> tuple[int, ...]:
     return tuple(i for i in range(limit) if sieve[i])
 
 
-# Trial division handles everything below this bound; Pollard rho takes over
-# only for cofactors with no prime factor under it.
+# Trial division handles everything below this bound; perfect-power roots and
+# Pollard rho take over only for cofactors with no prime factor under it.
 _TRIAL_PRIMES = _sieve_primes(1000)
 
-# Witness set making Miller-Rabin deterministic for n < 3.3 * 10^24.
+# The 12 Miller-Rabin bases 2..37 are proven deterministic below
+# psi_12 = 318665857834031151167461 (about 3.18 * 10^23), and no further.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI_12 = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact well past 64 bits)."""
+    """Primality test: deterministic Miller-Rabin below psi_12 ~ 3.18 * 10^23,
+    Baillie-PSW (Miller-Rabin incl. base 2, plus a strong Lucas test) at and
+    above it, which is proven exact below 2^64 and has no known
+    counterexample."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -76,7 +81,63 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_12 or _strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n > 1 with Selfridge's
+    parameters: D is the first of 5, -7, 9, -11, ... with (D/n) = -1,
+    P = 1 and Q = (1 - D)/4."""
+    if is_square(n):  # no such D exists for a square
+        return False
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+
+    def halve(x: int) -> int:
+        x %= n
+        return (x + n if x % 2 else x) // 2
+
+    d = n + 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # Left-to-right ladder for U_d, V_d and Q^d, starting from U_1, V_1 = 1, P.
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = halve(U + V), halve(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _pollard_rho(n: int) -> int:
@@ -148,10 +209,12 @@ class Factorization:
                 raise ValueError(f"{p} is not prime")
 
 
-def factorize(n: int) -> Factorization:
-    """Prime factorization of n >= 1; factorize(1) has an empty factor list."""
-    if n < 1:
-        raise ValueError(f"factorize requires n >= 1, got {n}")
+def _trial_divide(n: int) -> tuple[dict[int, int], int]:
+    """Exponents of the trial primes in n >= 1, and the cofactor left over.
+
+    The cofactor is 1, a prime, or a number with no prime factor below
+    1000; it is odd unless n = 2.
+    """
     counts: dict[int, int] = {}
     rem = n
     for p in _TRIAL_PRIMES:
@@ -160,18 +223,66 @@ def factorize(n: int) -> Factorization:
         while rem % p == 0:
             counts[p] = counts.get(p, 0) + 1
             rem //= p
-    if rem > 1:
-        stack = [rem]
-        while stack:
-            a = stack.pop()
-            if a == 1:
-                continue
-            if is_prime(a):
-                counts[a] = counts.get(a, 0) + 1
-                continue
-            d = _pollard_rho(a)
-            stack.append(d)
-            stack.append(a // d)
+    return counts, rem
+
+
+def _perfect_power(a: int) -> tuple[int, int] | None:
+    """(r, k) with a = r^k for the smallest prime k that works, or None.
+
+    Only for a with no prime factor below 1000: then r > 1000, so
+    1000^k <= a bounds the exponents worth trying.
+    """
+    for k in _TRIAL_PRIMES:
+        if 1000**k > a:
+            break
+        r = _integer_root(a, k)
+        if r**k == a:
+            return r, k
+    return None
+
+
+def _integer_root(a: int, k: int) -> int:
+    """Largest r with r^k <= a, for a >= 1 and k >= 2, by integer Newton
+    steps from above."""
+    if k == 2:
+        return math.isqrt(a)
+    r = 1 << -(-a.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + a // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _split_cofactor(rem: int) -> dict[int, int]:
+    """Prime factorization, as prime -> exponent, of a cofactor left by
+    _trial_divide: perfect powers are rooted, other composites split by rho."""
+    counts: dict[int, int] = {}
+    stack = [(rem, 1)]
+    while stack:
+        a, mult = stack.pop()
+        if a == 1:
+            continue
+        if is_prime(a):
+            counts[a] = counts.get(a, 0) + mult
+            continue
+        power = _perfect_power(a)
+        if power is not None:
+            root, k = power
+            stack.append((root, mult * k))
+            continue
+        d = _pollard_rho(a)
+        stack.append((d, mult))
+        stack.append((a // d, mult))
+    return counts
+
+
+def factorize(n: int) -> Factorization:
+    """Prime factorization of n >= 1; factorize(1) has an empty factor list."""
+    if n < 1:
+        raise ValueError(f"factorize requires n >= 1, got {n}")
+    counts, rem = _trial_divide(n)
+    counts.update(_split_cofactor(rem))
     return Factorization(tuple(sorted(counts.items())))
 
 
@@ -201,7 +312,26 @@ def _tri_index(n: int) -> int:
 
 
 def _free_of_odd_3mod4(f: Factorization) -> bool:
+    """The criteria's condition read off a full factorization; tests
+    compare the criteria against it."""
     return all(e % 2 == 0 for p, e in f.factors if p % 4 == 3)
+
+
+def _odd_3mod4(counts: dict[int, int]) -> bool:
+    """True iff some prime = 3 mod 4 in prime -> exponent counts has an odd
+    exponent."""
+    return any(e % 2 and p % 4 == 3 for p, e in counts.items())
+
+
+def _no_odd_3mod4_prime(n: int) -> bool:
+    """True iff every prime factor of n >= 1 congruent to 3 mod 4 has even
+    exponent, factoring only as far as the answer needs."""
+    counts, rem = _trial_divide(n)
+    # An odd number whose primes = 3 mod 4 all have even exponents is
+    # = 1 mod 4, so a cofactor = 3 mod 4 decides the answer unsplit.
+    if _odd_3mod4(counts) or rem % 4 == 3:
+        return False
+    return not _odd_3mod4(_split_cofactor(rem))
 
 
 def two_squares_criterion(n: int) -> bool:
@@ -209,7 +339,7 @@ def two_squares_criterion(n: int) -> bool:
     prime factor congruent to 3 mod 4 occurs with even exponent."""
     if n < 1:
         raise ValueError("two_squares_criterion requires n >= 1")
-    return _free_of_odd_3mod4(factorize(n))
+    return _no_odd_3mod4_prime(n)
 
 
 def two_triangulars_criterion(n: int) -> bool:
@@ -217,7 +347,7 @@ def two_triangulars_criterion(n: int) -> bool:
     iff every prime factor of 4n+1 congruent to 3 mod 4 has even exponent."""
     if n < 0:
         raise ValueError("two_triangulars_criterion requires n >= 0")
-    return _free_of_odd_3mod4(factorize(4 * n + 1))
+    return _no_odd_3mod4_prime(4 * n + 1)
 
 
 def is_legendre_form(n: int) -> bool:
@@ -296,6 +426,26 @@ def _greedy_parts(target: int, count: int, hi: int, kind: DecompositionKind) -> 
     return None
 
 
+def _min_squares_count(n: int) -> int:
+    """The count of min_squares(n) for n >= 1, without a witness."""
+    if is_square(n):
+        return 1
+    if two_squares_criterion(n):
+        return 2
+    if is_legendre_form(n):
+        return 4
+    return 3
+
+
+def _min_triangulars_count(n: int) -> int:
+    """The count of min_triangulars(n) for n >= 1, without a witness."""
+    if is_triangular(n):
+        return 1
+    if two_triangulars_criterion(n):
+        return 2
+    return 3
+
+
 def min_squares(n: int) -> tuple[int, Decomposition]:
     """Minimal number of positive squares summing to n, with a witness.
 
@@ -307,14 +457,7 @@ def min_squares(n: int) -> tuple[int, Decomposition]:
         raise ValueError("min_squares requires n >= 0")
     if n == 0:
         return 0, Decomposition(DecompositionKind.SQUARES, (), 0)
-    if is_square(n):
-        count = 1
-    elif two_squares_criterion(n):
-        count = 2
-    elif is_legendre_form(n):
-        count = 4
-    else:
-        count = 3
+    count = _min_squares_count(n)
     parts = _greedy_parts(n, count, math.isqrt(n), DecompositionKind.SQUARES)
     if parts is None:  # criteria guarantee existence
         raise AssertionError(f"no {count}-square witness for {n}")
@@ -329,12 +472,7 @@ def min_triangulars(n: int) -> tuple[int, Decomposition]:
         raise ValueError("min_triangulars requires n >= 0")
     if n == 0:
         return 0, Decomposition(DecompositionKind.TRIANGULARS, (), 0)
-    if is_triangular(n):
-        count = 1
-    elif two_triangulars_criterion(n):
-        count = 2
-    else:
-        count = 3
+    count = _min_triangulars_count(n)
     parts = _greedy_parts(n, count, _tri_index(n), DecompositionKind.TRIANGULARS)
     if parts is None:
         raise AssertionError(f"no {count}-triangular witness for {n}")

@@ -1,5 +1,9 @@
-import pytest
+import json
 
+import pytest
+from click.testing import CliRunner
+
+import fpbounds.cli
 from fpbounds.bounds import (
     UnsupportedHalfDimension,
     c1_zero_refinement_applies,
@@ -157,6 +161,59 @@ def test_refined_matches_residue_table():
 )
 def test_min_fixed_points(n, c1_zero, expected):
     assert min_fixed_points(n, c1_zero) == expected
+
+
+# `bound N [--c1-zero] --format json` payloads: (N, flags) -> (value, branch, r, l).
+# The large N reach the two-squares criterion with a cofactor past trial
+# division that is: 7 * p (a trial prime 3 mod 4 to an odd power), p * q
+# with p = 3 mod 4 (cofactor 3 mod 4), a semiprime that rho must split,
+# a prime square, a cube times a prime, a prime above psi_12, a fifth power.
+BOUND_PAYLOADS = {
+    ("2", "--c1-zero"): (24, "c1-zero/24", 1, 2),
+    ("100000000000000000010", "--c1-zero"): (24, "c1-zero/24", 1, 2),
+    ("100000000000000000010",): (12, "even/r=1", 1, 1),
+    ("12000002049600011484", "--c1-zero"): (4, "even/r=6/Euler", 6, 2),
+    ("8400001386",): (8, "even/r=3/non-Euler", 3, 2),
+    ("120000028200001386",): (8, "even/r=3/non-Euler", 3, 2),
+    ("900000068700000399",): (8, "odd/r=6/non-Euler", 6, 2),
+    ("4500000343500001995",): (6, "odd/r=12/non-Euler", 12, 3),
+    ("3600000274800001596",): (8, "even/r=6/28-mod-32", 6, 4),
+    ("18000001374000007980",): (6, "even/r=6/not-28-mod-32", 6, 3),
+    ("7200000549600003192",): (6, "even/r=12/legendre-ok", 12, 6),
+    ("12000002049600011484",): (4, "even/r=6/Euler", 6, 2),
+    ("24000004099200022968",): (4, "even/r=12/Euler", 12, 4),
+    ("15000002562000014355",): (4, "odd/r=12/Euler", 12, 2),
+    ("60000008400000294",): (4, "even/r=3/Euler", 3, 1),
+    ("150000021000000735",): (4, "odd/r=6/Euler", 6, 1),
+    ("18000003894000288540007849800039102",): (8, "even/r=3/non-Euler", 3, 2),
+    ("15000000000000000000000735",): (4, "odd/r=6/Euler", 6, 1),
+    ("24000000007320000000893040000054475440001661500920020270311224",): (4, "even/r=12/Euler", 12, 4),
+}
+
+
+@pytest.mark.parametrize("args,expected", sorted(BOUND_PAYLOADS.items()))
+def test_bound_json_payload_pinned(args, expected):
+    value, branch, r, l = expected
+    n = int(args[0])
+    payload = {"n": n, "dim": 2 * n, "value": value, "branch": branch, "m": n // 2, "r": r, "l": l}
+    res = CliRunner().invoke(fpbounds.cli.cli, ["bound", *args, "--format", "json"])
+    assert res.exit_code == 0
+    assert res.output == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("flags", [(), ("--c1-zero",)])
+def test_bound_evaluates_case_analysis_once(monkeypatch, flags):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return closed_form_bound(n)
+
+    monkeypatch.setattr(fpbounds.cli, "closed_form_bound", counted)
+    monkeypatch.setattr("fpbounds.bounds.closed_form_bound", counted)
+    res = CliRunner().invoke(fpbounds.cli.cli, ["bound", "24000004099200022968", *flags])
+    assert res.exit_code == 0
+    assert calls == [24000004099200022968]
 
 
 def test_min_fixed_points_appendix_n20():

@@ -224,6 +224,14 @@ def test_verify_small_run_passes(runner):
     assert "warning: full even-case coverage needs --max-m >= 504" in res.output
 
 
+def test_verify_past_lattice_guard_exits_2(runner):
+    res = runner.invoke(cli, ["verify", "--max-m", "1", "--lattice-max-n", "54"])
+    assert res.exit_code == 2
+    assert "RESULT" not in res.output
+    assert "first tripped at n = 54" in res.output
+    assert "(limit 100000000)" in res.output
+
+
 def test_verify_rejects_max_m_0(runner):
     res = runner.invoke(cli, ["verify", "--max-m", "0"])
     assert res.exit_code == 2

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -8,11 +9,13 @@ from fpbounds.minimizer import (
     BoxTooLarge,
     CapExceeded,
     SolveMethod,
+    _bounded_min_count,
     enumerate_feasible,
     minimize_even,
     minimize_odd,
     witness_full_profile,
 )
+from fpbounds.numtheory import DecompositionKind
 
 
 def check_outcome(outcome):
@@ -143,6 +146,13 @@ def test_enumerate_objectives_divisible():
         modulus = divisibility_modulus(n)
         for o in enumerate_feasible(n, 48):
             assert o.minimum % modulus == 0
+
+
+def test_bounded_min_count_builds_no_witness():
+    # min_squares on this prime spends seconds in its witness search.
+    start = time.perf_counter()
+    assert _bounded_min_count(100000000000097, 10**8, DecompositionKind.SQUARES) == 2
+    assert time.perf_counter() - start < 0.5
 
 
 def test_enumerate_box_guard():

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -8,6 +9,8 @@ from fpbounds.numtheory import (
     DecompositionKind,
     Factorization,
     Unrepresentable,
+    _free_of_odd_3mod4,
+    _strong_lucas_probable_prime,
     factorize,
     is_legendre_form,
     is_prime,
@@ -61,6 +64,45 @@ def test_factorize_roundtrip_large():
         f.validate()
 
 
+def _prime_near(rng, lo, hi):
+    while True:
+        p = rng.randrange(lo, hi) | 1
+        if is_prime(p):
+            return p
+
+
+def test_factorize_perfect_powers_fast():
+    # Pollard rho on p^2 alone took over a second before perfect powers
+    # were rooted first.
+    p = 999999999989  # prime, about 10^12
+    start = time.perf_counter()
+    for k in (2, 3, 5):
+        assert factorize(p**k).factors == ((p, k),)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_is_prime_above_psi12():
+    # psi_12 and psi_13 are strong pseudoprimes to every base 2..37; the
+    # strong Lucas test of Baillie-PSW rejects them.
+    p, q = 399165290221, 798330580441
+    assert is_prime(p) and is_prime(q)
+    assert not is_prime(p * q)
+    assert factorize(p * q).factors == ((p, 1), (q, 1))
+    assert not is_prime(1287836182261 * 2575672364521)
+    assert is_prime(2**89 - 1)
+    assert is_prime(2**127 - 1)
+    assert not is_prime((2**61 - 1) * (2**89 - 1))
+    assert not is_prime((2**61 - 1) ** 2)
+
+
+def test_strong_lucas_pseudoprimes():
+    # OEIS A217255: the odd composites passing the strong Lucas test with
+    # Selfridge's parameters, below 3 * 10^4.
+    got = [n for n in range(3, 30000, 2) if _strong_lucas_probable_prime(n) and not is_prime(n)]
+    assert got == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
+    assert all(_strong_lucas_probable_prime(p) for p in range(3, 30000, 2) if is_prime(p))
+
+
 def test_factorization_ordering_enforced():
     with pytest.raises(ValueError):
         Factorization(((5, 1), (3, 1)))
@@ -106,6 +148,28 @@ def test_two_squares_criterion_examples():
 def test_two_triangulars_criterion_examples():
     assert two_triangulars_criterion(106)      # 4*106+1 = 425 = 5^2 * 17
     assert not two_triangulars_criterion(59)   # 237 = 3 * 79
+
+
+def test_criteria_match_factorization_small():
+    for n in range(1, 20001):
+        assert two_squares_criterion(n) == _free_of_odd_3mod4(factorize(n)), n
+        assert two_triangulars_criterion(n) == _free_of_odd_3mod4(factorize(4 * n + 1)), n
+
+
+def test_criteria_match_factorization_large():
+    # Cofactors past trial division: semiprimes, prime powers, and a prime
+    # power times a prime, with p about 10^9..10^12, padded by small primes
+    # so that every residue mod 4 and both early exits occur.
+    rng = random.Random(20261018)
+    for _ in range(48):
+        p = _prime_near(rng, 10**9, 10**12)
+        q = _prime_near(rng, 10**5, 10**8)
+        core = rng.choice([p * q, p**2, p**3, p ** rng.randint(2, 4) * q])
+        x = core * math.prod(rng.choice((2, 3, 5, 7, 11, 13)) for _ in range(rng.randint(0, 3)))
+        expected = _free_of_odd_3mod4(factorize(x))
+        assert two_squares_criterion(x) == expected, x
+        if x % 4 == 1:
+            assert two_triangulars_criterion((x - 1) // 4) == expected, x
 
 
 def test_legendre_form_examples():
