@@ -21,7 +21,6 @@ from .chern import (
     ChernPair,
     EmptyProfile,
     FixedPointProfile,
-    NonIntegralResult,
     Parity,
     ProfileError,
     ReducedProfile,

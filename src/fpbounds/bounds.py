@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .chern import FixedPointProfile
 from .numtheory import (
     is_legendre_form,
     is_square,
@@ -56,7 +55,6 @@ class BoundResult:
     value: int
     branch: str
     l: int
-    witness: FixedPointProfile | None = None
 
     def value_for(self, c1_zero: bool) -> int:
         """The lower bound, raised to at least 24 when c1 = 0 and the

@@ -13,8 +13,9 @@ over the reduced coordinates (N_0, ..., N_m) with m = floor(n/2).  For
 Hamiltonian actions N_i coincides with the 2i-th Betti number, so the
 same profiles carry Betti data.
 
-All values here are exact integers; internal sums are carried doubled so
-any half-integer inconsistency is detected rather than rounded away.
+All values here are exact integers.  The Chern sum is carried doubled
+and halved once at the end, which is exact: 12i(i-1) and n(5 - 3n) are
+even for every integer.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from enum import Enum
 __all__ = [
     "ProfileError",
     "EmptyProfile",
-    "NonIntegralResult",
     "Parity",
     "FixedPointProfile",
     "ReducedProfile",
@@ -51,10 +51,6 @@ class ProfileError(ValueError):
 
 class EmptyProfile(ProfileError):
     """All fixed-point counts are zero (the fixed point set must be nonempty)."""
-
-
-class NonIntegralResult(ValueError):
-    """An exact sum that must be an integer came out as a half-integer."""
 
 
 class Parity(Enum):
@@ -142,14 +138,11 @@ def g_coeff(i: int, n: int) -> int:
     """The coefficient 6i(i-1) + (5n - 3n^2)/2 multiplying N_i.
 
     n(5 - 3n) is even for every integer n, so the value is an exact
-    integer; the halving is still checked rather than assumed.
+    integer.
     """
     if n < 1:
         raise ValueError(f"half-dimension n must be >= 1, got {n}")
-    doubled = g_coeff_doubled(i, n)
-    if doubled % 2:
-        raise NonIntegralResult(f"coefficient for (i={i}, n={n}) is a half-integer")
-    return doubled // 2
+    return g_coeff_doubled(i, n) // 2
 
 
 def chern_c1cn1(profile: FixedPointProfile) -> int:
@@ -159,11 +152,6 @@ def chern_c1cn1(profile: FixedPointProfile) -> int:
     doubled = sum(
         c * g_coeff_doubled(i, profile.n) for i, c in enumerate(profile.counts)
     )
-    if doubled % 2:
-        raise NonIntegralResult(
-            "profile sum is a half-integer; no almost complex S^1-manifold "
-            "has this fixed-point profile"
-        )
     return doubled // 2
 
 

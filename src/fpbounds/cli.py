@@ -23,10 +23,15 @@ from .chern import (
     ProfileError,
     chern_c1cn1,
     dim6_hamiltonian_classifier,
-    expand,
     parse_profile,
 )
-from .minimizer import BoxTooLarge, enumerate_feasible, minimize_even, minimize_odd
+from .minimizer import (
+    BoxTooLarge,
+    enumerate_feasible,
+    minimize_even,
+    minimize_odd,
+    witness_full_profile,
+)
 
 __all__ = ["main", "cli", "TableRow", "summary_rows"]
 
@@ -194,11 +199,7 @@ def _bound_payload(n: int, c1_zero: bool, with_witness: bool) -> dict:
         "l": l,
     }
     if with_witness:
-        profile = (
-            expand(minimize_even(n // 2).witness)
-            if n % 2 == 0
-            else expand(minimize_odd(n // 2).witness)
-        )
+        profile = witness_full_profile(n)
         scale = value // base.value
         counts = tuple(scale * c for c in profile.counts)
         payload["witness"] = list(counts)
@@ -288,7 +289,7 @@ def chern(profile_path: str) -> None:
     try:
         with open(profile_path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise click.UsageError(f"profile is not valid JSON: {exc}")
     try:
         profile = parse_profile(data)
@@ -309,11 +310,7 @@ def chern(profile_path: str) -> None:
 def witness(n: int, fmt: str) -> None:
     """A profile attaining the minimal fixed-point count for half-dimension N."""
     _require_half_dimension(n)
-    profile = (
-        expand(minimize_even(n // 2).witness)
-        if n % 2 == 0
-        else expand(minimize_odd(n // 2).witness)
-    )
+    profile = witness_full_profile(n)
     value = chern_c1cn1(profile)
     if fmt == "json":
         click.echo(
@@ -341,31 +338,24 @@ def _verify_checks(max_m: int, lattice_max_n: int) -> tuple[list[str], list[str]
     failures: list[str] = []
     seen: set[str] = set()
 
-    mismatch_even = []
-    mismatch_odd = []
-    for m in range(1, max_m + 1):
-        even_result = closed_form_bound(2 * m)
-        seen.add(even_result.branch)
-        solved = minimize_even(m)
-        if solved.minimum != even_result.value or solved.l > 7:
-            mismatch_even.append(
-                f"n={2 * m}: closed-form={even_result.value}, l-search={solved.minimum} (l={solved.l})"
-            )
-        odd_result = closed_form_bound(2 * m + 1)
-        seen.add(odd_result.branch)
-        solved = minimize_odd(m)
-        if solved.minimum != odd_result.value or solved.l > 3:
-            mismatch_odd.append(
-                f"n={2 * m + 1}: closed-form={odd_result.value}, l-search={solved.minimum} (l={solved.l})"
-            )
-    if mismatch_even:
-        failures.append(f"closed form vs l-search (even): {'; '.join(mismatch_even[:5])}")
-    else:
-        passed.append(f"closed form vs l-search agrees for even n = 2..{2 * max_m}")
-    if mismatch_odd:
-        failures.append(f"closed form vs l-search (odd): {'; '.join(mismatch_odd[:5])}")
-    else:
-        passed.append(f"closed form vs l-search agrees for odd n = 3..{2 * max_m + 1}")
+    for label, solve, first, l_max in (
+        ("even", minimize_even, 2, 7),
+        ("odd", minimize_odd, 3, 3),
+    ):
+        last = 2 * max_m + first - 2
+        mismatch = []
+        for n in range(first, last + 1, 2):
+            result = closed_form_bound(n)
+            seen.add(result.branch)
+            solved = solve(n // 2)
+            if solved.minimum != result.value or solved.l > l_max:
+                mismatch.append(
+                    f"n={n}: closed-form={result.value}, l-search={solved.minimum} (l={solved.l})"
+                )
+        if mismatch:
+            failures.append(f"closed form vs l-search ({label}): {'; '.join(mismatch[:5])}")
+        else:
+            passed.append(f"closed form vs l-search agrees for {label} n = {first}..{last}")
 
     lattice_bad = []
     for n in range(2, lattice_max_n + 1):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .chern import FixedPointProfile, Parity, ReducedProfile, expand
 from .numtheory import (
@@ -112,75 +113,85 @@ def _lex_smallest_parts(
     return None
 
 
-def minimize_even(m: int, l_cap: int = 24) -> MinimizationOutcome:
-    """Minimum of the fixed-point count over feasible profiles for n = 2m.
+class _ParitySpec(NamedTuple):
+    """What sets the two parities apart.  With W = sum_k w_k * N_{m-k}
+    and h = N_m + charge * (N_0 + ... + N_{m-1}), the vanishing constraint
+    is G = 12W - d*h with d = m - shift, and the objective is scale*h/12."""
 
-    Searches the smallest l >= 1 such that l*m/r is a sum of squares k^2
-    (1 <= k <= m) using at most 6l/r parts; the minimum is then 12*l/r.
-    The part-count inequality is evaluated as r*count <= 6*l in integers.
-    """
+    kind: DecompositionKind  # part weight w_k: k^2 or T_k
+    charge: int  # fixed points per off-middle part
+    scale: int
+    shift: int
+
+
+_SPECS = {
+    Parity.EVEN: _ParitySpec(DecompositionKind.SQUARES, 2, 12, 0),
+    Parity.ODD: _ParitySpec(DecompositionKind.TRIANGULARS, 1, 24, 1),
+}
+
+
+def _l_search(m: int, parity: Parity, l_cap: int) -> MinimizationOutcome:
+    """Smallest l >= 1 such that l*d/r is a sum of parts w_k (1 <= k <= m)
+    whose count leaves N_m = 12l/r - charge*count non-negative; the
+    minimum is then scale*l/r."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    r = math.gcd(m, 12)
+    spec = _SPECS[parity]
+    d = m - spec.shift
+    r = math.gcd(d, 12)
     for l in range(1, l_cap + 1):
-        target = l * m // r
-        count = _bounded_min_count(target, m, DecompositionKind.SQUARES)
-        if r * count <= 6 * l:
-            parts = _lex_smallest_parts(target, count, m, DecompositionKind.SQUARES)
+        target = l * d // r
+        count = _bounded_min_count(target, m, spec.kind)
+        middle = 12 * l // r - spec.charge * count
+        if middle >= 0:
+            parts = _lex_smallest_parts(target, count, m, spec.kind)
             assert parts is not None
             counts = [0] * (m + 1)
             for k in parts:
                 counts[m - k] += 1
-            counts[m] = 12 * l // r - 2 * count
-            assert counts[m] >= 0
-            witness = ReducedProfile(m, tuple(counts), Parity.EVEN)
+            counts[m] = middle
+            witness = ReducedProfile(m, tuple(counts), parity)
             return MinimizationOutcome(
-                n=2 * m, minimum=12 * l // r, l=l, witness=witness,
+                n=witness.n, minimum=spec.scale * l // r, l=l, witness=witness,
                 method=SolveMethod.L_SEARCH,
             )
-    raise CapExceeded(f"no l <= {l_cap} works for m = {m} (even case)")
+    raise CapExceeded(f"no l <= {l_cap} works for m = {m} ({parity.value} case)")
+
+
+def minimize_even(m: int, l_cap: int = 24) -> MinimizationOutcome:
+    """Minimum of the fixed-point count over feasible profiles for n = 2m:
+    the smallest l with l*m/r a sum of squares k^2 (1 <= k <= m) in at
+    most 6l/r parts gives the minimum 12*l/r."""
+    return _l_search(m, Parity.EVEN, l_cap)
 
 
 def minimize_odd(m: int, l_cap: int = 24) -> MinimizationOutcome:
-    """Minimum of the fixed-point count over feasible profiles for n = 2m+1.
+    """Minimum of the fixed-point count over feasible profiles for n = 2m+1:
+    the smallest l with l*(m-1)/r a sum of triangular numbers T_k
+    (1 <= k <= m) in at most 12l/r parts gives the minimum 24*l/r.  For
+    m = 1 the target is 0 and the minimum is 2."""
+    return _l_search(m, Parity.ODD, l_cap)
 
-    For m = 1 the constraint collapses to N_0 = 0 and the minimum is 2.
-    Otherwise: smallest l >= 1 with l*(m-1)/r a sum of triangular numbers
-    T_k (1 <= k <= m) using at most 12l/r parts; the minimum is 24*l/r.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if m == 1:
-        witness = ReducedProfile(1, (0, 1), Parity.ODD)
-        return MinimizationOutcome(
-            n=3, minimum=2, l=1, witness=witness, method=SolveMethod.L_SEARCH
-        )
-    r = math.gcd(m - 1, 12)
-    for l in range(1, l_cap + 1):
-        target = l * (m - 1) // r
-        count = _bounded_min_count(target, m, DecompositionKind.TRIANGULARS)
-        if r * count <= 12 * l:
-            parts = _lex_smallest_parts(target, count, m, DecompositionKind.TRIANGULARS)
-            assert parts is not None
-            counts = [0] * (m + 1)
-            for k in parts:
-                counts[m - k] += 1
-            counts[m] = 12 * l // r - count
-            assert counts[m] >= 0
-            witness = ReducedProfile(m, tuple(counts), Parity.ODD)
-            return MinimizationOutcome(
-                n=2 * m + 1, minimum=24 * l // r, l=l, witness=witness,
-                method=SolveMethod.L_SEARCH,
+
+def _enumerate(
+    m: int, parity: Parity, value_cap: int, box_limit: int
+) -> list[MinimizationOutcome]:
+    spec = _SPECS[parity]
+    d = m - spec.shift
+    if d == 0:
+        # n = 3: G = 12W forces N_0 = 0, and any h = N_1 >= 1 is feasible.
+        return [
+            MinimizationOutcome(
+                n=3, minimum=2 * h, l=h, witness=ReducedProfile(1, (0, h), parity),
+                method=SolveMethod.LATTICE_ENUM,
             )
-    raise CapExceeded(f"no l <= {l_cap} works for m = {m} (odd case)")
-
-
-def _enumerate_even(m: int, value_cap: int, box_limit: int) -> list[MinimizationOutcome]:
-    r = math.gcd(m, 12)
-    # F1 = (12/m) * sum k^2 N_{m-k}, so the weighted sum is at most this.
-    max_weighted = m * value_cap // 12
-    bounds = {k: max_weighted // (k * k) for k in range(1, m + 1)}
-    volume = math.prod(b + 1 for b in bounds.values())
+            for h in range(1, value_cap // 2 + 1)
+        ]
+    r = math.gcd(d, 12)
+    # The objective is scale*h/12 with h = 12W/d, so W is at most this.
+    max_weighted = d * value_cap // spec.scale
+    weights = [spec.kind.part_value(k) for k in range(m + 1)]
+    volume = math.prod(max_weighted // w + 1 for w in weights[1:])
     if volume > box_limit:
         raise BoxTooLarge(f"enumeration box has {volume} points (limit {box_limit})")
 
@@ -189,91 +200,28 @@ def _enumerate_even(m: int, value_cap: int, box_limit: int) -> list[Minimization
 
     def rec(k: int, weighted: int) -> None:
         if k == 0:
-            if weighted == 0 or 12 * weighted % m:
+            if weighted == 0 or 12 * weighted % d:
                 return
-            f1_val = 12 * weighted // m
-            if f1_val > value_cap:
+            h = 12 * weighted // d
+            minimum = spec.scale * h // 12
+            if minimum > value_cap:
                 return
-            tail = sum(counts[:m])
-            middle = f1_val - 2 * tail
+            middle = h - spec.charge * sum(counts[:m])
             if middle < 0:
                 return
             counts[m] = middle
-            witness = ReducedProfile(m, tuple(counts), Parity.EVEN)
+            witness = ReducedProfile(m, tuple(counts), parity)
             found.append(
                 MinimizationOutcome(
-                    n=2 * m, minimum=f1_val, l=weighted * r // m,
-                    witness=witness, method=SolveMethod.LATTICE_ENUM,
-                )
-            )
-            return
-        w = k * k
-        for c in range(bounds[k] + 1):
-            total = weighted + c * w
-            if total > max_weighted:
-                break
-            counts[m - k] = c
-            rec(k - 1, total)
-        counts[m - k] = 0
-
-    rec(m, 0)
-    return found
-
-
-def _enumerate_odd(m: int, value_cap: int, box_limit: int) -> list[MinimizationOutcome]:
-    if m == 1:
-        # Constraint forces N_0 = 0; objective is 2 * N_1.
-        out = []
-        for n1 in range(1, value_cap // 2 + 1):
-            witness = ReducedProfile(1, (0, n1), Parity.ODD)
-            out.append(
-                MinimizationOutcome(
-                    n=3, minimum=2 * n1, l=n1, witness=witness,
-                    method=SolveMethod.LATTICE_ENUM,
-                )
-            )
-        return out
-
-    r = math.gcd(m - 1, 12)
-    # F2 = (24/(m-1)) * sum T_k N_{m-k}.
-    max_weighted = (m - 1) * value_cap // 24
-    weights = {k: k * (k + 1) // 2 for k in range(1, m + 1)}
-    bounds = {k: max_weighted // w for k, w in weights.items()}
-    volume = math.prod(b + 1 for b in bounds.values())
-    if volume > box_limit:
-        raise BoxTooLarge(f"enumeration box has {volume} points (limit {box_limit})")
-
-    found: list[MinimizationOutcome] = []
-    counts = [0] * (m + 1)
-
-    def rec(k: int, weighted: int) -> None:
-        if k == 0:
-            if weighted == 0 or 12 * weighted % (m - 1):
-                return
-            half = 12 * weighted // (m - 1)  # = N_m + sum of the others
-            f2_val = 2 * half
-            if f2_val > value_cap:
-                return
-            tail = sum(counts[:m])
-            middle = half - tail
-            if middle < 0:
-                return
-            counts[m] = middle
-            witness = ReducedProfile(m, tuple(counts), Parity.ODD)
-            found.append(
-                MinimizationOutcome(
-                    n=2 * m + 1, minimum=f2_val, l=weighted * r // (m - 1),
+                    n=witness.n, minimum=minimum, l=weighted * r // d,
                     witness=witness, method=SolveMethod.LATTICE_ENUM,
                 )
             )
             return
         w = weights[k]
-        for c in range(bounds[k] + 1):
-            total = weighted + c * w
-            if total > max_weighted:
-                break
+        for c in range((max_weighted - weighted) // w + 1):
             counts[m - k] = c
-            rec(k - 1, total)
+            rec(k - 1, weighted + c * w)
         counts[m - k] = 0
 
     rec(m, 0)
@@ -295,11 +243,8 @@ def enumerate_feasible(
         raise ValueError(f"n must be >= 2, got {n}")
     if value_cap < 1:
         raise ValueError(f"value_cap must be >= 1, got {value_cap}")
-    m = n // 2
-    if n % 2 == 0:
-        found = _enumerate_even(m, value_cap, box_limit)
-    else:
-        found = _enumerate_odd(m, value_cap, box_limit)
+    parity = Parity.EVEN if n % 2 == 0 else Parity.ODD
+    found = _enumerate(n // 2, parity, value_cap, box_limit)
     return sorted(found, key=lambda o: (o.minimum, o.witness.counts))
 
 
@@ -308,8 +253,5 @@ def witness_full_profile(n: int) -> FixedPointProfile:
     with c1*c(n-1) = 0 by construction."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if n % 2 == 0:
-        outcome = minimize_even(n // 2)
-    else:
-        outcome = minimize_odd(n // 2)
-    return expand(outcome.witness)
+    solve = minimize_even if n % 2 == 0 else minimize_odd
+    return expand(solve(n // 2).witness)

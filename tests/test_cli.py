@@ -182,9 +182,12 @@ def test_chern_malformed_exits_2(runner, tmp_path):
     assert "length" in res.output
 
 
-def test_chern_bad_json_exits_2(runner, tmp_path):
+@pytest.mark.parametrize(
+    "payload", [b"{not json", b"\xff\xfe{", b"[" * 100000], ids=["syntax", "not-utf8", "deep"]
+)
+def test_chern_bad_json_exits_2(runner, tmp_path, payload):
     path = tmp_path / "profile.json"
-    path.write_text("{not json")
+    path.write_bytes(payload)
     res = runner.invoke(cli, ["chern", "--profile", str(path)])
     assert res.exit_code == 2
 

@@ -26,9 +26,12 @@ def check_outcome(outcome):
     if rp.parity is Parity.EVEN:
         assert g1(rp) == 0
         assert f1(rp) == outcome.minimum
+        r, scale = math.gcd(rp.m, 12), 12
     else:
         assert g2(rp) == 0
         assert f2(rp) == outcome.minimum
+        r, scale = math.gcd(rp.m - 1, 12), 24
+    assert outcome.minimum * r == scale * outcome.l
     assert outcome.minimum > 0
     assert chern_c1cn1(expand(rp)) == 0
 
@@ -181,3 +184,52 @@ def test_witness_full_profile_properties():
         assert profile.is_symmetric()
         assert profile.total() == closed_form_bound(n).value
         assert chern_c1cn1(profile) == 0
+
+
+# Nonzero reduced coordinates of the l-search witness, one n per branch of
+# the case analysis (the published case tables) plus the small odd n.
+_PINNED_WITNESSES = [
+    (3, {1: 1}),
+    (5, {1: 1, 2: 11}),
+    (7, {2: 1, 3: 5}),
+    (9, {3: 1, 4: 3}),
+    (11, {4: 1, 5: 2}),
+    (18, {7: 1, 8: 2, 9: 2}),
+    (20, {8: 1, 9: 1, 10: 2}),
+    (24, {10: 1, 12: 2}),
+    (26, {10: 1, 11: 1, 13: 8}),
+    (28, {11: 1, 12: 1, 13: 1, 14: 6}),
+    (32, {14: 1, 16: 1}),
+    (39, {17: 1, 19: 1}),
+    (40, {17: 1, 19: 1, 20: 2}),
+    (48, {22: 1}),
+    (51, {23: 1, 24: 1}),
+    (54, {24: 1, 27: 2}),
+    (60, {27: 1, 29: 1}),
+    (63, {27: 1, 31: 3}),
+    (72, {33: 1, 36: 1}),
+    (75, {35: 1}),
+    (99, {46: 2, 49: 1}),
+    (108, {51: 1}),
+    (112, {51: 1, 52: 1, 55: 1, 56: 3}),
+    (144, {66: 1, 72: 4}),
+    (180, {84: 1, 87: 1, 90: 2}),
+    (252, {118: 1, 122: 1, 124: 1, 126: 2}),
+    (1008, {491: 1, 494: 1, 499: 1, 504: 1}),
+]
+
+
+@pytest.mark.parametrize("n,nonzero", _PINNED_WITNESSES)
+def test_l_search_witness_pinned(n, nonzero):
+    out = (minimize_even if n % 2 == 0 else minimize_odd)(n // 2)
+    assert {i: c for i, c in enumerate(out.witness.counts) if c} == nonzero
+    check_outcome(out)
+
+
+def test_enumerate_counts_pinned():
+    counts = [len(enumerate_feasible(n, 48)) for n in range(2, 41)]
+    assert counts == [
+        4, 24, 14, 2, 31, 6, 57, 12, 24, 20, 155, 9, 39, 50, 154, 15, 147, 56,
+        127, 59, 93, 49, 909, 42, 134, 339, 256, 59, 421, 107, 611, 165, 255,
+        236, 1186, 122, 338, 460, 1058,
+    ]
