@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 
 __all__ = [
     "ProfileError",
@@ -58,6 +59,13 @@ class Parity(Enum):
     ODD = "odd"    # n = 2m + 1
 
 
+def _require_non_negative(counts: tuple[int, ...]) -> None:
+    """Raise ProfileError naming the first negative entry of a nonempty tuple."""
+    if min(counts) < 0:
+        i = next(i for i, c in enumerate(counts) if c < 0)
+        raise ProfileError(f"counts must be non-negative, got N_{i} = {counts[i]}")
+
+
 @dataclass(frozen=True)
 class FixedPointProfile:
     """Counts (N_0, ..., N_n) of fixed points by number of negative weights.
@@ -77,23 +85,22 @@ class FixedPointProfile:
             raise ProfileError(
                 f"counts must have length n+1 = {self.n + 1}, got {len(self.counts)}"
             )
-        for i, c in enumerate(self.counts):
-            if c < 0:
-                raise ProfileError(f"counts must be non-negative, got N_{i} = {c}")
+        _require_non_negative(self.counts)
 
     def total(self) -> int:
         return sum(self.counts)
 
     def is_symmetric(self) -> bool:
-        return all(self.counts[i] == self.counts[self.n - i] for i in range(self.n + 1))
+        return self.counts == self.counts[::-1]
 
     def require_symmetric(self) -> None:
-        for i in range(self.n + 1):
-            if self.counts[i] != self.counts[self.n - i]:
-                raise ProfileError(
-                    f"symmetry violation: N_{i} = {self.counts[i]} "
-                    f"but N_{self.n - i} = {self.counts[self.n - i]}"
-                )
+        if self.is_symmetric():
+            return
+        counts, n = self.counts, self.n
+        i = next(i for i in range(n + 1) if counts[i] != counts[n - i])
+        raise ProfileError(
+            f"symmetry violation: N_{i} = {counts[i]} but N_{n - i} = {counts[n - i]}"
+        )
 
 
 @dataclass(frozen=True)
@@ -111,9 +118,7 @@ class ReducedProfile:
             raise ProfileError(
                 f"counts must have length m+1 = {self.m + 1}, got {len(self.counts)}"
             )
-        for i, c in enumerate(self.counts):
-            if c < 0:
-                raise ProfileError(f"counts must be non-negative, got N_{i} = {c}")
+        _require_non_negative(self.counts)
 
     @property
     def n(self) -> int:
@@ -149,8 +154,10 @@ def chern_c1cn1(profile: FixedPointProfile) -> int:
     """Evaluate c1*c(n-1)[M] = sum_i N_i * g(i, n) exactly."""
     if profile.total() == 0:
         raise EmptyProfile("the fixed point set must be nonempty")
+    counts, n = profile.counts, profile.n
+    # Zero entries add nothing, and a witness profile is almost all zeros.
     doubled = sum(
-        c * g_coeff_doubled(i, profile.n) for i, c in enumerate(profile.counts)
+        counts[i] * g_coeff_doubled(i, n) for i in compress(range(n + 1), counts)
     )
     return doubled // 2
 

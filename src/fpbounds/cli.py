@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress
 
 import click
 
@@ -27,6 +28,7 @@ from .chern import (
 )
 from .minimizer import (
     BoxTooLarge,
+    _lattice_box,
     enumerate_feasible,
     minimize_even,
     minimize_odd,
@@ -180,6 +182,45 @@ def _require_half_dimension(n: int) -> None:
         raise click.UsageError(f"n must be >= 2 (dimension >= 4), got {n}")
 
 
+_ITEM_SEP = ",\n    "
+_ZERO_ITEM = "0" + _ITEM_SEP
+
+
+def _int_list_json(values: list[int]) -> str:
+    """`values` as json.dumps renders a list nested one level in a dict
+    under indent=2.  Runs of zeros are made by string repetition, so only
+    the nonzero entries cost Python work."""
+    if not values:
+        return "[]"
+    parts = ["[\n    "]
+    start = 0
+    for i in compress(range(len(values)), values):
+        parts += (_ZERO_ITEM * (i - start), str(values[i]), _ITEM_SEP)
+        start = i + 1
+    tail = len(values) - start
+    if tail:
+        parts += (_ZERO_ITEM * (tail - 1), "0")
+    else:
+        parts.pop()  # no separator after the last entry
+    parts.append("\n  ]")
+    return "".join(parts)
+
+
+def _render_json(payload: dict) -> str:
+    """Exactly json.dumps(payload, indent=2) for a nonempty dict whose
+    values are scalars, strings or lists of ints."""
+    items = []
+    for key, value in payload.items():
+        if isinstance(value, list):
+            text = _int_list_json(value)
+        elif type(value) is int:
+            text = str(value)  # as json.dumps prints it, without its per-call set-up
+        else:
+            text = json.dumps(value)
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}"
+
+
 def _bound_payload(n: int, c1_zero: bool, with_witness: bool) -> dict:
     base = closed_form_bound(n)
     value = base.value_for(c1_zero)
@@ -199,10 +240,11 @@ def _bound_payload(n: int, c1_zero: bool, with_witness: bool) -> dict:
         "l": l,
     }
     if with_witness:
-        profile = witness_full_profile(n)
+        counts = list(witness_full_profile(n).counts)
         scale = value // base.value
-        counts = tuple(scale * c for c in profile.counts)
-        payload["witness"] = list(counts)
+        if scale != 1:
+            counts = list(map(scale.__mul__, counts))
+        payload["witness"] = counts
         payload["witness_total"] = sum(counts)
     return payload
 
@@ -217,7 +259,7 @@ def bound(n: int, c1_zero: bool, with_witness: bool, fmt: str) -> None:
     _require_half_dimension(n)
     payload = _bound_payload(n, c1_zero, with_witness)
     if fmt == "json":
-        click.echo(json.dumps(payload, indent=2))
+        click.echo(_render_json(payload))
         return
     click.echo(f"n = {payload['n']} (dim {payload['dim']})")
     click.echo(f"bound = {payload['value']}")
@@ -314,15 +356,14 @@ def witness(n: int, fmt: str) -> None:
     value = chern_c1cn1(profile)
     if fmt == "json":
         click.echo(
-            json.dumps(
+            _render_json(
                 {
                     "n": n,
                     "dim": 2 * n,
                     "counts": list(profile.counts),
                     "total": profile.total(),
                     "c1cn1": value,
-                },
-                indent=2,
+                }
             )
         )
         return
@@ -332,11 +373,24 @@ def witness(n: int, fmt: str) -> None:
     click.echo(f"c1*c(n-1)[M] = {value}")
 
 
+_LATTICE_CAP = 48
+
+
 def _verify_checks(max_m: int, lattice_max_n: int) -> tuple[list[str], list[str], set[str]]:
     """Run all cross-checks; returns (passed, failures, branches seen)."""
     passed: list[str] = []
     failures: list[str] = []
     seen: set[str] = set()
+
+    # The box guard depends on n and the cap alone: check it before any work.
+    for n in range(2, lattice_max_n + 1):
+        try:
+            _lattice_box(n, _LATTICE_CAP)
+        except BoxTooLarge as exc:
+            raise click.UsageError(
+                f"--lattice-max-n {lattice_max_n} is beyond the lattice box guard, "
+                f"first tripped at n = {n}: {exc}"
+            )
 
     for label, solve, first, l_max in (
         ("even", minimize_even, 2, 7),
@@ -360,13 +414,7 @@ def _verify_checks(max_m: int, lattice_max_n: int) -> tuple[list[str], list[str]
     lattice_bad = []
     for n in range(2, lattice_max_n + 1):
         expected = closed_form_bound(n).value
-        try:
-            feasible = enumerate_feasible(n, value_cap=48)
-        except BoxTooLarge as exc:
-            raise click.UsageError(
-                f"--lattice-max-n {lattice_max_n} is beyond the lattice box guard, "
-                f"first tripped at n = {n}: {exc}"
-            )
+        feasible = enumerate_feasible(n, value_cap=_LATTICE_CAP)
         if not feasible or feasible[0].minimum != expected:
             got = feasible[0].minimum if feasible else None
             lattice_bad.append(f"n={n}: closed-form={expected}, lattice={got}")
@@ -379,7 +427,7 @@ def _verify_checks(max_m: int, lattice_max_n: int) -> tuple[list[str], list[str]
         failures.append(f"lattice enumeration: {'; '.join(lattice_bad[:5])}")
     else:
         passed.append(
-            f"lattice enumeration (cap 48) matches closed form and the "
+            f"lattice enumeration (cap {_LATTICE_CAP}) matches closed form and the "
             f"divisibility rule for n = 2..{lattice_max_n}"
         )
 

@@ -52,6 +52,9 @@ class BoxTooLarge(ValueError):
     """The enumeration box exceeds the configured volume guard."""
 
 
+_BOX_LIMIT = 10**8
+
+
 class SolveMethod(Enum):
     L_SEARCH = "l-search"
     LATTICE_ENUM = "lattice-enum"
@@ -101,10 +104,10 @@ def _lex_smallest_parts(
     """
     if count == 0:
         return [] if target == 0 else None
-    for k in range(1, cap + 1):
+    # The largest of `count` parts is at least target/count: start at the
+    # smallest k with count * w_k >= target.
+    for k in range(kind.max_index(max(target - 1, 0) // count) + 1, cap + 1):
         v = kind.part_value(k)
-        if v * count < target:
-            continue
         if v > target:
             break
         rest = _lex_smallest_parts(target - v, count - 1, k, kind)
@@ -173,9 +176,27 @@ def minimize_odd(m: int, l_cap: int = 24) -> MinimizationOutcome:
     return _l_search(m, Parity.ODD, l_cap)
 
 
-def _enumerate(
-    m: int, parity: Parity, value_cap: int, box_limit: int
-) -> list[MinimizationOutcome]:
+def _parity(n: int) -> Parity:
+    return Parity.EVEN if n % 2 == 0 else Parity.ODD
+
+
+def _lattice_box(n: int, value_cap: int, box_limit: int = _BOX_LIMIT) -> int:
+    """The largest weighted sum W = sum_k w_k * N_{m-k} the lattice
+    enumeration for n scans under value_cap.  Raises BoxTooLarge when the
+    box of coordinates 0 <= N_{m-k} <= W // w_k has more than box_limit
+    points; both depend on n and the cap alone, so a caller can check a
+    range of n before enumerating any."""
+    m, spec = n // 2, _SPECS[_parity(n)]
+    # The objective is scale*h/12 with h = 12W/d, so W is at most this.
+    max_weighted = (m - spec.shift) * value_cap // spec.scale
+    volume = math.prod(max_weighted // spec.kind.part_value(k) + 1 for k in range(1, m + 1))
+    if volume > box_limit:
+        raise BoxTooLarge(f"enumeration box has {volume} points (limit {box_limit})")
+    return max_weighted
+
+
+def _enumerate(n: int, value_cap: int, box_limit: int) -> list[MinimizationOutcome]:
+    m, parity = n // 2, _parity(n)
     spec = _SPECS[parity]
     d = m - spec.shift
     if d == 0:
@@ -188,13 +209,8 @@ def _enumerate(
             for h in range(1, value_cap // 2 + 1)
         ]
     r = math.gcd(d, 12)
-    # The objective is scale*h/12 with h = 12W/d, so W is at most this.
-    max_weighted = d * value_cap // spec.scale
+    max_weighted = _lattice_box(n, value_cap, box_limit)
     weights = [spec.kind.part_value(k) for k in range(m + 1)]
-    volume = math.prod(max_weighted // w + 1 for w in weights[1:])
-    if volume > box_limit:
-        raise BoxTooLarge(f"enumeration box has {volume} points (limit {box_limit})")
-
     found: list[MinimizationOutcome] = []
     counts = [0] * (m + 1)
 
@@ -229,7 +245,7 @@ def _enumerate(
 
 
 def enumerate_feasible(
-    n: int, value_cap: int, box_limit: int = 10**8
+    n: int, value_cap: int, box_limit: int = _BOX_LIMIT
 ) -> list[MinimizationOutcome]:
     """All feasible reduced profiles with objective <= value_cap, sorted by
     objective and then lexicographically by witness.
@@ -243,8 +259,7 @@ def enumerate_feasible(
         raise ValueError(f"n must be >= 2, got {n}")
     if value_cap < 1:
         raise ValueError(f"value_cap must be >= 1, got {value_cap}")
-    parity = Parity.EVEN if n % 2 == 0 else Parity.ODD
-    found = _enumerate(n // 2, parity, value_cap, box_limit)
+    found = _enumerate(n, value_cap, box_limit)
     return sorted(found, key=lambda o: (o.minimum, o.witness.counts))
 
 

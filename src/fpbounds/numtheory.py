@@ -371,6 +371,12 @@ class DecompositionKind(Enum):
             return k * k
         return k * (k + 1) // 2
 
+    def max_index(self, value: int) -> int:
+        """Largest k >= 0 with part_value(k) <= value, for value >= 0."""
+        if self is DecompositionKind.SQUARES:
+            return math.isqrt(value)
+        return _tri_index(value)
+
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -412,11 +418,7 @@ def _greedy_parts(target: int, count: int, hi: int, kind: DecompositionKind) -> 
     with generators in 1..hi summing to target."""
     if count == 0:
         return [] if target == 0 else None
-    if kind is DecompositionKind.SQUARES:
-        top = math.isqrt(target)
-    else:
-        top = _tri_index(target)
-    for k in range(min(hi, top), 0, -1):
+    for k in range(min(hi, kind.max_index(target)), 0, -1):
         v = kind.part_value(k)
         if v * count < target:
             break

@@ -258,3 +258,60 @@ def test_parse_profile_ok():
 def test_parse_profile_errors(data, message):
     with pytest.raises(ProfileError, match=message):
         parse_profile(data)
+
+
+def _sparse_counts(n):
+    """Mostly zeros, as a witness profile is: a few nonzero entries anywhere."""
+    return st.dictionaries(st.integers(0, n), st.integers(1, 10**7), max_size=4).map(
+        lambda nonzero: [nonzero.get(i, 0) for i in range(n + 1)]
+    )
+
+
+full_profiles = st.integers(min_value=1, max_value=60).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.one_of(
+            _sparse_counts(n),
+            st.lists(st.integers(0, 50), min_size=n + 1, max_size=n + 1),
+        ),
+    )
+)
+
+
+@given(full_profiles)
+@settings(max_examples=400)
+def test_chern_c1cn1_matches_dense_sum(data):
+    n, counts = data
+    if not any(counts):
+        return
+    naive = sum(c * g_coeff_doubled(i, n) for i, c in enumerate(counts)) // 2
+    assert chern_c1cn1(FixedPointProfile(n, tuple(counts))) == naive
+
+
+@pytest.mark.parametrize(
+    "counts,first",
+    [((-1, 2, -3), "N_0 = -1"), ((0, 0, -2, -1), "N_2 = -2"), ((4, 0, 5, -7), "N_3 = -7")],
+)
+def test_negative_count_names_first_index(counts, first):
+    message = f"counts must be non-negative, got {first}"
+    with pytest.raises(ProfileError, match=f"^{message}$"):
+        FixedPointProfile(len(counts) - 1, counts)
+    with pytest.raises(ProfileError, match=f"^{message}$"):
+        ReducedProfile(len(counts) - 1, counts, Parity.ODD)
+
+
+@pytest.mark.parametrize(
+    "counts,message",
+    [
+        ((5, 2, 3, 9, 3, 2, 1), "symmetry violation: N_0 = 5 but N_6 = 1"),
+        ((1, 2, 3, 9, 8, 2, 1), "symmetry violation: N_2 = 3 but N_4 = 8"),
+        ((1, 2, 3, 9, 3, 2, 6), "symmetry violation: N_0 = 1 but N_6 = 6"),
+    ],
+    ids=["first", "middle", "last"],
+)
+def test_symmetry_violation_message(counts, message):
+    profile = FixedPointProfile(6, counts)
+    assert not profile.is_symmetric()
+    with pytest.raises(ProfileError) as info:
+        profile.require_symmetric()
+    assert str(info.value) == message

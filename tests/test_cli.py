@@ -1,11 +1,14 @@
 import json
 import pathlib
+import time
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fpbounds.bounds import closed_form_bound, min_fixed_points
-from fpbounds.cli import cli
+from fpbounds.cli import _render_json, cli
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -244,3 +247,50 @@ def test_min_fixed_points_matches_cli_c1_zero(runner):
     for n in (2, 9, 10):
         res = runner.invoke(cli, ["bound", str(n), "--c1-zero", "--format", "json"])
         assert json.loads(res.output)["value"] == min_fixed_points(n, True)
+
+
+def test_verify_checks_lattice_guard_before_the_sweep(runner):
+    start = time.perf_counter()
+    res = runner.invoke(cli, ["verify", "--max-m", "20000", "--lattice-max-n", "54"])
+    assert time.perf_counter() - start < 2
+    assert res.exit_code == 2
+    assert "first tripped at n = 54" in res.output
+
+
+@st.composite
+def sparse_int_lists(draw):
+    """Mostly zeros, as a witness profile is, with a few entries anywhere."""
+    size = draw(st.integers(0, 40))
+    values = [0] * size
+    if size:
+        nonzero = st.one_of(st.integers(1, 9), st.integers(10**6, 10**20), st.integers(-10**6, -1))
+        for i in draw(st.lists(st.integers(0, size - 1), max_size=4)):
+            values[i] = draw(nonzero)
+    return values
+
+
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=8))
+
+
+@given(st.dictionaries(st.text(max_size=8), st.one_of(json_scalars, sparse_int_lists()),
+                       min_size=1, max_size=6))
+@example({"counts": []})
+@example({"counts": [0]})
+@example({"counts": [7]})
+@example({"counts": [0, 0, 0, 0]})
+@example({"n": 5, "counts": [0, 0, 3, 0, 0], "total": 3})
+@example({"counts": [1, 0, 0, 10**6], "branch": "even/r=1"})
+def test_render_json_matches_stdlib(payload):
+    assert _render_json(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["witness"], ["bound", "--witness"], ["bound", "--c1-zero", "--witness"], ["bound"]],
+    ids=["witness", "bound-witness", "bound-c1-zero-witness", "bound"],
+)
+def test_json_output_is_stdlib_indent_2(runner, args):
+    for n in [*range(2, 80), 1008, 10001, 123457]:
+        res = runner.invoke(cli, [*args, str(n), "--format", "json"])
+        assert res.exit_code == 0
+        assert res.output == json.dumps(json.loads(res.output), indent=2) + "\n", n

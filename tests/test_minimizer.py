@@ -10,6 +10,7 @@ from fpbounds.minimizer import (
     CapExceeded,
     SolveMethod,
     _bounded_min_count,
+    _lex_smallest_parts,
     enumerate_feasible,
     minimize_even,
     minimize_odd,
@@ -233,3 +234,29 @@ def test_enumerate_counts_pinned():
         127, 59, 93, 49, 909, 42, 134, 339, 256, 59, 421, 107, 611, 165, 255,
         236, 1186, 122, 338, 460, 1058,
     ]
+
+
+def _lex_smallest_parts_scan(target, count, cap, kind):
+    """Reference: the same search with k stepping up from 1."""
+    if count == 0:
+        return [] if target == 0 else None
+    for k in range(1, cap + 1):
+        v = kind.part_value(k)
+        if v * count < target:
+            continue
+        if v > target:
+            break
+        rest = _lex_smallest_parts_scan(target - v, count - 1, k, kind)
+        if rest is not None:
+            return [k] + rest
+    return None
+
+
+@pytest.mark.parametrize("kind", list(DecompositionKind))
+def test_lex_smallest_parts_matches_scan_from_1(kind):
+    for target in range(401):
+        for count in range(5):
+            for cap in range(1, 26):
+                assert _lex_smallest_parts(target, count, cap, kind) == (
+                    _lex_smallest_parts_scan(target, count, cap, kind)
+                ), (target, count, cap)
