@@ -7,8 +7,11 @@ Chern constraint.  This package solves it three ways:
 1. closed form: the gcd/r case analysis (bounds.closed_form_bound),
 2. l-search: smallest l such that l*m/r is a sum of few enough squares
    (resp. l*(m-1)/r, triangular numbers) -- minimizer.minimize_even/odd,
-3. brute force: enumerate every profile inside a finite box that provably
-   contains all feasible points below the cap -- enumerate_feasible.
+3. lattice walk: list every profile inside a finite box that provably
+   contains all feasible points below the cap, skipping only branches the
+   constraint itself rules out (too many parts for a non-negative middle
+   count, or a total W with 12W not divisible by d); no number theory is
+   used -- enumerate_feasible.
 
 All three must agree, and every enumerated witness must expand to a full
 profile with c1*c(n-1) = 0.

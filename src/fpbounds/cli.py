@@ -29,7 +29,7 @@ from .chern import (
 from .minimizer import (
     BoxTooLarge,
     _lattice_box,
-    enumerate_feasible,
+    _lattice_points,
     minimize_even,
     minimize_odd,
     witness_full_profile,
@@ -414,13 +414,13 @@ def _verify_checks(max_m: int, lattice_max_n: int) -> tuple[list[str], list[str]
     lattice_bad = []
     for n in range(2, lattice_max_n + 1):
         expected = closed_form_bound(n).value
-        feasible = enumerate_feasible(n, value_cap=_LATTICE_CAP)
-        if not feasible or feasible[0].minimum != expected:
-            got = feasible[0].minimum if feasible else None
+        objectives = [objective for objective, _ in _lattice_points(n, _LATTICE_CAP)]
+        if not objectives or objectives[0] != expected:
+            got = objectives[0] if objectives else None
             lattice_bad.append(f"n={n}: closed-form={expected}, lattice={got}")
             continue
         modulus = divisibility_modulus(n)
-        bad = [o.minimum for o in feasible if o.minimum % modulus]
+        bad = [objective for objective in objectives if objective % modulus]
         if bad:
             lattice_bad.append(f"n={n}: objectives {bad[:3]} not divisible by {modulus}")
     if lattice_bad:

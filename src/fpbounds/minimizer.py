@@ -5,8 +5,10 @@ Two routes compute the same minima as the closed-form case analysis:
 * an l-search mirroring the structure of the case proofs: find the
   smallest l >= 1 such that l*m/r (even) or l*(m-1)/r (odd) is a sum of
   squares resp. triangular numbers with few enough parts; and
-* a fully brute-force lattice enumeration over a finite box that provably
-  contains every feasible reduced profile below a given objective cap.
+* a lattice enumeration: a walk over a finite box that provably contains
+  every feasible reduced profile below a given objective cap, cut only by
+  the part count and the residue of W that the constraint itself forces,
+  so no number theory enters and no feasible profile is skipped.
 
 Both return witness profiles that can be re-verified through the Chern
 formula (the expanded witness always has c1*c(n-1) = 0).
@@ -195,52 +197,45 @@ def _lattice_box(n: int, value_cap: int, box_limit: int = _BOX_LIMIT) -> int:
     return max_weighted
 
 
-def _enumerate(n: int, value_cap: int, box_limit: int) -> list[MinimizationOutcome]:
-    m, parity = n // 2, _parity(n)
-    spec = _SPECS[parity]
+def _lattice_points(
+    n: int, value_cap: int, box_limit: int = _BOX_LIMIT
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Sorted (objective, counts) pairs of every feasible reduced profile of
+    n with objective <= value_cap: a depth-first walk over N_0..N_{m-1}
+    inside the box of `_lattice_box`, with two cuts that follow from
+    G = 12W - d*h = 0 and the cap.  N_m = h - charge*parts >= 0 with
+    h <= 12*max_weighted/d bounds the parts of every branch; and N_{m-1}
+    has weight w_1 = 1, so it steps only through totals W with 12W = 0 mod d.
+    """
+    m, spec = n // 2, _SPECS[_parity(n)]
     d = m - spec.shift
     if d == 0:
         # n = 3: G = 12W forces N_0 = 0, and any h = N_1 >= 1 is feasible.
-        return [
-            MinimizationOutcome(
-                n=3, minimum=2 * h, l=h, witness=ReducedProfile(1, (0, h), parity),
-                method=SolveMethod.LATTICE_ENUM,
-            )
-            for h in range(1, value_cap // 2 + 1)
-        ]
-    r = math.gcd(d, 12)
+        return [(2 * h, (0, h)) for h in range(1, value_cap // 2 + 1)]
     max_weighted = _lattice_box(n, value_cap, box_limit)
+    max_parts = 12 * max_weighted // d // spec.charge
+    step = d // math.gcd(d, 12)  # 12W = 0 mod d iff W = 0 mod step
     weights = [spec.kind.part_value(k) for k in range(m + 1)]
-    found: list[MinimizationOutcome] = []
-    counts = [0] * (m + 1)
-
-    def rec(k: int, weighted: int) -> None:
-        if k == 0:
-            if weighted == 0 or 12 * weighted % d:
-                return
-            h = 12 * weighted // d
-            minimum = spec.scale * h // 12
-            if minimum > value_cap:
-                return
-            middle = h - spec.charge * sum(counts[:m])
-            if middle < 0:
-                return
-            counts[m] = middle
-            witness = ReducedProfile(m, tuple(counts), parity)
-            found.append(
-                MinimizationOutcome(
-                    n=witness.n, minimum=minimum, l=weighted * r // d,
-                    witness=witness, method=SolveMethod.LATTICE_ENUM,
-                )
+    found: list[tuple[int, tuple[int, ...]]] = []
+    # (k, W so far, parts so far, N_0..N_{m-k-1}); the final sort fixes the order.
+    stack = [(m, 0, 0, ())]
+    while stack:
+        k, weighted, parts, prefix = stack.pop()
+        if k > 1:
+            w = weights[k]
+            top = min((max_weighted - weighted) // w, max_parts - parts)
+            stack.extend(
+                (k - 1, weighted + c * w, parts + c, prefix + (c,)) for c in range(top + 1)
             )
-            return
-        w = weights[k]
-        for c in range((max_weighted - weighted) // w + 1):
-            counts[m - k] = c
-            rec(k - 1, weighted + c * w)
-        counts[m - k] = 0
-
-    rec(m, 0)
+            continue
+        # W = 0 (objective 0) is skipped: the first total is step.
+        first = weighted + -weighted % step or step
+        for total in range(first, min(max_weighted, weighted + max_parts - parts) + 1, step):
+            h = 12 * total // d
+            middle = h - spec.charge * (parts + total - weighted)
+            if middle >= 0:
+                found.append((spec.scale * h // 12, prefix + (total - weighted, middle)))
+    found.sort()
     return found
 
 
@@ -248,19 +243,25 @@ def enumerate_feasible(
     n: int, value_cap: int, box_limit: int = _BOX_LIMIT
 ) -> list[MinimizationOutcome]:
     """All feasible reduced profiles with objective <= value_cap, sorted by
-    objective and then lexicographically by witness.
-
-    Completeness: every feasible profile with objective below the cap has
-    each coordinate bounded by the weighted-sum identity, so the finite
-    box scanned here contains all of them.  Raises BoxTooLarge when the
-    box volume exceeds `box_limit`.
+    objective and then lexicographically by witness.  Complete: each such
+    profile lies in the box of `_lattice_box`, and the walk in
+    `_lattice_points` cuts only branches that the constraint rules out.
+    Raises BoxTooLarge when the box volume exceeds `box_limit`.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if value_cap < 1:
         raise ValueError(f"value_cap must be >= 1, got {value_cap}")
-    found = _enumerate(n, value_cap, box_limit)
-    return sorted(found, key=lambda o: (o.minimum, o.witness.counts))
+    m, parity = n // 2, _parity(n)
+    spec = _SPECS[parity]
+    r = math.gcd(m - spec.shift, 12)
+    return [
+        MinimizationOutcome(
+            n=n, minimum=objective, l=objective * r // spec.scale,
+            witness=ReducedProfile(m, counts, parity), method=SolveMethod.LATTICE_ENUM,
+        )
+        for objective, counts in _lattice_points(n, value_cap, box_limit)
+    ]
 
 
 def witness_full_profile(n: int) -> FixedPointProfile:

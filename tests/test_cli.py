@@ -7,8 +7,9 @@ from click.testing import CliRunner
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fpbounds.bounds import closed_form_bound, min_fixed_points
+from fpbounds.bounds import closed_form_bound, divisibility_modulus, min_fixed_points
 from fpbounds.cli import _render_json, cli
+from fpbounds.minimizer import _lattice_points
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -255,6 +256,45 @@ def test_verify_checks_lattice_guard_before_the_sweep(runner):
     assert time.perf_counter() - start < 2
     assert res.exit_code == 2
     assert "first tripped at n = 54" in res.output
+
+
+def test_verify_golden_output(runner):
+    res = runner.invoke(cli, ["verify", "--max-m", "504", "--lattice-max-n", "53"])
+    assert res.exit_code == 0
+    assert res.output == (GOLDEN / "verify_max_m_504_lattice_53.txt").read_text()
+
+
+def _modulus_5_at_17(n):
+    return 5 if n == 17 else divisibility_modulus(n)
+
+
+def _minimum_dropped_at_17(n, value_cap):
+    points = _lattice_points(n, value_cap)
+    return [p for p in points if p[0] != points[0][0]] if n == 17 else points
+
+
+# n = 17 is past the summary table's n <= 15, so only the lattice check sees it.
+@pytest.mark.parametrize(
+    "name,fake,detail",
+    [
+        (
+            "divisibility_modulus", _modulus_5_at_17,
+            "n=17: objectives [24, 24, 24] not divisible by 5",
+        ),
+        ("_lattice_points", _minimum_dropped_at_17, "n=17: closed-form=24, lattice=48"),
+    ],
+    ids=["modulus", "minimum"],
+)
+def test_verify_reports_lattice_failure(runner, monkeypatch, name, fake, detail):
+    monkeypatch.setattr(f"fpbounds.cli.{name}", fake)
+    res = runner.invoke(cli, ["verify", "--max-m", "30", "--lattice-max-n", "20"])
+    assert res.exit_code == 1
+    lines = res.output.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        f"FAIL: lattice enumeration: {detail}"
+    ]
+    assert not any(line.startswith("ok: lattice enumeration") for line in lines)
+    assert lines[-1] == "RESULT FAIL"
 
 
 @st.composite

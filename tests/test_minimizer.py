@@ -132,7 +132,7 @@ def test_enumerate_n6_cap4():
 
 
 def test_enumerate_sorted_and_feasible():
-    for n in range(2, 21):
+    for n in range(2, 54):
         out = enumerate_feasible(n, 48)
         assert [o.minimum for o in out] == sorted(o.minimum for o in out)
         for o in out:
@@ -228,12 +228,61 @@ def test_l_search_witness_pinned(n, nonzero):
 
 
 def test_enumerate_counts_pinned():
-    counts = [len(enumerate_feasible(n, 48)) for n in range(2, 41)]
+    counts = [len(enumerate_feasible(n, 48)) for n in range(2, 54)]
     assert counts == [
         4, 24, 14, 2, 31, 6, 57, 12, 24, 20, 155, 9, 39, 50, 154, 15, 147, 56,
         127, 59, 93, 49, 909, 42, 134, 339, 256, 59, 421, 107, 611, 165, 255,
-        236, 1186, 122, 338, 460, 1058,
+        236, 1186, 122, 338, 460, 1058, 161, 956, 420, 789, 389, 571, 337, 4680,
+        292, 722, 1767, 1252, 365,
     ]
+
+
+def _enumerate_unpruned(n, value_cap):
+    """Reference: every point of the box, each tested at the leaf, as
+    (minimum, l, counts) in the listing's order."""
+    m = n // 2
+    parity = Parity.EVEN if n % 2 == 0 else Parity.ODD
+    kind, charge, scale, shift = {
+        Parity.EVEN: (DecompositionKind.SQUARES, 2, 12, 0),
+        Parity.ODD: (DecompositionKind.TRIANGULARS, 1, 24, 1),
+    }[parity]
+    d = m - shift
+    if d == 0:
+        return [(2 * h, h, (0, h)) for h in range(1, value_cap // 2 + 1)]
+    r = math.gcd(d, 12)
+    max_weighted = d * value_cap // scale  # objective scale*W/d <= value_cap
+    weights = [kind.part_value(k) for k in range(m + 1)]
+    found = []
+    counts = [0] * (m + 1)
+
+    def rec(k, weighted):
+        if k == 0:
+            if weighted == 0 or 12 * weighted % d:
+                return
+            h = 12 * weighted // d
+            minimum = scale * h // 12
+            middle = h - charge * sum(counts[:m])
+            if minimum <= value_cap and middle >= 0:
+                counts[m] = middle
+                found.append((minimum, weighted * r // d, tuple(counts)))
+            return
+        for c in range((max_weighted - weighted) // weights[k] + 1):
+            counts[m - k] = c
+            rec(k - 1, weighted + c * weights[k])
+        counts[m - k] = 0
+
+    rec(m, 0)
+    return sorted(found, key=lambda t: (t[0], t[2]))
+
+
+@pytest.mark.parametrize("cap", [1, 6, 12, 24, 48, 60])
+def test_enumerate_matches_unpruned_box_scan(cap):
+    for n in range(2, 31):
+        out = enumerate_feasible(n, cap)
+        assert [(o.minimum, o.l, o.witness.counts) for o in out] == (
+            _enumerate_unpruned(n, cap)
+        ), n
+        assert all(o.n == n and o.witness.n == n for o in out)
 
 
 def _lex_smallest_parts_scan(target, count, cap, kind):
