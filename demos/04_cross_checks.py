@@ -11,7 +11,12 @@ Chern constraint.  This package solves it three ways:
    contains all feasible points below the cap, skipping only branches the
    constraint itself rules out (too many parts for a non-negative middle
    count, or a total W with 12W not divisible by d); no number theory is
-   used -- enumerate_feasible.
+   used -- enumerate_feasible.  `fpbounds verify` needs only which
+   objectives occur, so it decides them over the same box without listing
+   profiles: one reachability bitset per part count j holds the totals W
+   reachable with at most j parts, and W = d*h/12 is an objective exactly
+   when it is reachable with at most h // charge parts, since the middle
+   count h - charge*parts then stays non-negative.  Again no number theory.
 
 All three must agree, and every enumerated witness must expand to a full
 profile with c1*c(n-1) = 0.

@@ -29,7 +29,7 @@ from .chern import (
 from .minimizer import (
     BoxTooLarge,
     _lattice_box,
-    _lattice_points,
+    _lattice_objectives,
     minimize_even,
     minimize_odd,
     witness_full_profile,
@@ -414,7 +414,7 @@ def _verify_checks(max_m: int, lattice_max_n: int) -> tuple[list[str], list[str]
     lattice_bad = []
     for n in range(2, lattice_max_n + 1):
         expected = closed_form_bound(n).value
-        objectives = [objective for objective, _ in _lattice_points(n, _LATTICE_CAP)]
+        objectives = _lattice_objectives(n, _LATTICE_CAP)
         if not objectives or objectives[0] != expected:
             got = objectives[0] if objectives else None
             lattice_bad.append(f"n={n}: closed-form={expected}, lattice={got}")

@@ -12,6 +12,14 @@ Two routes compute the same minima as the closed-form case analysis:
 
 Both return witness profiles that can be re-verified through the Chern
 formula (the expanded witness always has c1*c(n-1) = 0).
+
+When only the set of objectives is wanted, as in `verify`, it is decided
+over the same box without listing profiles: one reachability bitset per
+part count j holds the totals W reachable with at most j parts, and W is
+an objective exactly when 12W = 0 mod d and W is reachable with at most
+h // charge parts, h = 12W/d; the middle count takes up the rest.  This is
+complete for the same reason the walk is, and again no number theory
+enters.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import NamedTuple
 
 from .chern import FixedPointProfile, Parity, ReducedProfile, expand
@@ -26,6 +35,7 @@ from .numtheory import (
     DecompositionKind,
     _min_squares_count,
     _min_triangulars_count,
+    _reach_levels,
     min_squares_bruteforce,
     min_triangulars_bruteforce,
 )
@@ -236,6 +246,33 @@ def _lattice_points(
             if middle >= 0:
                 found.append((spec.scale * h // 12, prefix + (total - weighted, middle)))
     found.sort()
+    return found
+
+
+def _lattice_objectives(n: int, value_cap: int, box_limit: int = _BOX_LIMIT) -> list[int]:
+    """The sorted distinct objectives of `_lattice_points(n, value_cap)`,
+    decided without listing a profile.  A total W <= max_weighted with
+    12W = 0 mod d gives h = 12W/d; a profile with j parts reaching W has
+    N_m = h - charge*j >= 0 exactly when j <= h // charge, and every such
+    profile lies in the box.  So W is an objective iff it is set in the
+    bitset of totals reachable with at most h // charge parts."""
+    m, spec = n // 2, _SPECS[_parity(n)]
+    d = m - spec.shift
+    if d == 0:
+        # n = 3: the objectives 2h of the profiles (0, h), h >= 1.
+        return list(range(2, value_cap + 1, 2))
+    max_weighted = _lattice_box(n, value_cap, box_limit)
+    max_parts = 12 * max_weighted // d // spec.charge
+    top = min(m, spec.kind.max_index(max_weighted))  # heavier parts overshoot every W
+    weights = [spec.kind.part_value(k) for k in range(1, top + 1)]
+    levels = list(islice(_reach_levels(weights, max_weighted), max_parts + 1))
+    step = d // math.gcd(d, 12)  # 12W = 0 mod d iff W = 0 mod step
+    found = []
+    for total in range(step, max_weighted + 1, step):
+        h = 12 * total // d
+        # A level past the last one yielded would equal it.
+        if levels[min(h // spec.charge, len(levels) - 1)] >> total & 1:
+            found.append(spec.scale * h // 12)
     return found
 
 

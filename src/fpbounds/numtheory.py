@@ -10,6 +10,7 @@ All functions are pure and deterministic.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -481,6 +482,24 @@ def min_triangulars(n: int) -> tuple[int, Decomposition]:
     return count, _make_decomposition(DecompositionKind.TRIANGULARS, parts, n)
 
 
+def _reach_levels(weights: list[int], limit: int) -> Iterator[int]:
+    """Reachability bitsets by part count: the j-th int yielded (from j = 0)
+    has bit W set iff 0 <= W <= limit is a sum of at most j of `weights`,
+    repeats allowed.  Stops after the last level that adds a total, as
+    every later level would equal it."""
+    full = (1 << (limit + 1)) - 1
+    reach = 1
+    while True:
+        yield reach
+        nxt = reach
+        for v in weights:
+            nxt |= reach << v
+        nxt &= full
+        if nxt == reach:
+            return
+        reach = nxt
+
+
 def _bruteforce_min(n: int, max_generator: int, kind: DecompositionKind) -> tuple[int, Decomposition]:
     """Exact minimal part count with generators bounded by max_generator,
     by breadth-first reachability on bitmasks, plus a greedy witness."""
@@ -501,18 +520,13 @@ def _bruteforce_min(n: int, max_generator: int, kind: DecompositionKind) -> tupl
             raise Unrepresentable(f"{n} is not a multiple of the single part {v}")
         return n // v, _make_decomposition(kind, [k] * (n // v), n)
 
-    full = (1 << (n + 1)) - 1
-    levels = [1]
-    reach = 1
-    while not (reach >> n) & 1:
-        nxt = reach
-        for _, v in values:
-            nxt |= reach << v
-        nxt &= full
-        if nxt == reach:
-            raise Unrepresentable(f"{n} has no representation with generator bound {max_generator}")
-        levels.append(nxt)
-        reach = nxt
+    levels = []
+    for reach in _reach_levels([v for _, v in values], n):
+        levels.append(reach)
+        if (reach >> n) & 1:
+            break
+    else:
+        raise Unrepresentable(f"{n} has no representation with generator bound {max_generator}")
     count = len(levels) - 1
 
     generators = []

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import time
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from fpbounds.bounds import closed_form_bound, divisibility_modulus, min_fixed_points
 from fpbounds.cli import _render_json, cli
-from fpbounds.minimizer import _lattice_points
+from fpbounds.minimizer import _lattice_objectives, minimize_odd
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -269,8 +270,8 @@ def _modulus_5_at_17(n):
 
 
 def _minimum_dropped_at_17(n, value_cap):
-    points = _lattice_points(n, value_cap)
-    return [p for p in points if p[0] != points[0][0]] if n == 17 else points
+    objectives = _lattice_objectives(n, value_cap)
+    return objectives[1:] if n == 17 else objectives
 
 
 # n = 17 is past the summary table's n <= 15, so only the lattice check sees it.
@@ -279,9 +280,9 @@ def _minimum_dropped_at_17(n, value_cap):
     [
         (
             "divisibility_modulus", _modulus_5_at_17,
-            "n=17: objectives [24, 24, 24] not divisible by 5",
+            "n=17: objectives [24, 48] not divisible by 5",
         ),
-        ("_lattice_points", _minimum_dropped_at_17, "n=17: closed-form=24, lattice=48"),
+        ("_lattice_objectives", _minimum_dropped_at_17, "n=17: closed-form=24, lattice=48"),
     ],
     ids=["modulus", "minimum"],
 )
@@ -294,6 +295,23 @@ def test_verify_reports_lattice_failure(runner, monkeypatch, name, fake, detail)
         f"FAIL: lattice enumeration: {detail}"
     ]
     assert not any(line.startswith("ok: lattice enumeration") for line in lines)
+    assert lines[-1] == "RESULT FAIL"
+
+
+def _odd_minimum_doubled_at_m8(m, l_cap=24):
+    outcome = minimize_odd(m, l_cap)
+    return dataclasses.replace(outcome, minimum=2 * outcome.minimum) if m == 8 else outcome
+
+
+def test_verify_reports_lsearch_failure(runner, monkeypatch):
+    monkeypatch.setattr("fpbounds.cli.minimize_odd", _odd_minimum_doubled_at_m8)
+    res = runner.invoke(cli, ["verify", "--max-m", "30", "--lattice-max-n", "20"])
+    assert res.exit_code == 1
+    lines = res.output.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL: closed form vs l-search (odd): n=17: closed-form=24, l-search=48 (l=1)"
+    ]
+    assert not any(line.startswith("ok: closed form vs l-search (odd)") for line in lines)
     assert lines[-1] == "RESULT FAIL"
 
 

@@ -10,6 +10,8 @@ from fpbounds.minimizer import (
     CapExceeded,
     SolveMethod,
     _bounded_min_count,
+    _lattice_objectives,
+    _lattice_points,
     _lex_smallest_parts,
     enumerate_feasible,
     minimize_even,
@@ -283,6 +285,40 @@ def test_enumerate_matches_unpruned_box_scan(cap):
             _enumerate_unpruned(n, cap)
         ), n
         assert all(o.n == n and o.witness.n == n for o in out)
+
+
+@pytest.mark.parametrize(
+    "cap,n_max", [(1, 53), (6, 53), (12, 53), (24, 53), (36, 53), (48, 53), (60, 29)]
+)
+def test_lattice_objectives_match_walk(cap, n_max):
+    for n in range(2, n_max + 1):
+        assert _lattice_objectives(n, cap) == sorted({o for o, _ in _lattice_points(n, cap)}), n
+
+
+def test_lattice_objectives_n3():
+    # d = 0: every profile (0, h) with h >= 1 is feasible, objective 2h.
+    assert _lattice_objectives(3, 48) == list(range(2, 49, 2))
+    assert _lattice_objectives(3, 7) == [2, 4, 6]
+    assert _lattice_objectives(3, 1) == []
+
+
+def test_lattice_objectives_box_guard():
+    with pytest.raises(BoxTooLarge) as walk:
+        _lattice_points(54, 48)
+    with pytest.raises(BoxTooLarge) as oracle:
+        _lattice_objectives(54, 48)
+    assert str(oracle.value) == str(walk.value)
+
+
+def test_lattice_objectives_reach_l7():
+    # The guard lifted, the route with no number theory reaches n = 1008,
+    # the even case with l = 7.
+    assert closed_form_bound(1008).l == 7
+    for n in range(2, 1009):
+        objectives = _lattice_objectives(n, 48, box_limit=math.inf)
+        assert objectives[0] == closed_form_bound(n).value, n
+        modulus = divisibility_modulus(n)
+        assert all(o % modulus == 0 for o in objectives), n
 
 
 def _lex_smallest_parts_scan(target, count, cap, kind):
