@@ -4,7 +4,10 @@ Two routes compute the same minima as the closed-form case analysis:
 
 * an l-search mirroring the structure of the case proofs: find the
   smallest l >= 1 such that l*m/r (even) or l*(m-1)/r (odd) is a sum of
-  squares resp. triangular numbers with few enough parts; and
+  squares resp. triangular numbers with few enough parts.  The count
+  comes from `numtheory`'s bounded count rule, and the lexicographically
+  smallest parts from its one bounded search, the same search that writes
+  the largest-first witnesses of min_squares / min_triangulars; and
 * a lattice enumeration: a walk over a finite box that provably contains
   every feasible reduced profile below a given objective cap, cut only by
   the part count and the residue of W that the constraint itself forces,
@@ -31,14 +34,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .chern import FixedPointProfile, Parity, ReducedProfile, expand
-from .numtheory import (
-    DecompositionKind,
-    _min_squares_count,
-    _min_triangulars_count,
-    _reach_levels,
-    min_squares_bruteforce,
-    min_triangulars_bruteforce,
-)
+from .numtheory import DecompositionKind, _bounded_min_count, _polygonal_parts, _reach_levels
 
 __all__ = [
     "CapExceeded",
@@ -87,47 +83,6 @@ class MinimizationOutcome:
     method: SolveMethod
 
 
-def _bounded_min_count(target: int, generator_cap: int, kind: DecompositionKind) -> int:
-    """Minimal part count for `target` with generators 1..generator_cap.
-
-    When target <= (largest allowed part) every representation respects
-    the cap automatically and the fast criteria apply; otherwise fall
-    back to the exact bounded search.
-    """
-    if target == 0:
-        return 0
-    if target <= kind.part_value(generator_cap):
-        if kind is DecompositionKind.SQUARES:
-            return _min_squares_count(target)
-        return _min_triangulars_count(target)
-    if kind is DecompositionKind.SQUARES:
-        return min_squares_bruteforce(target, generator_cap)[0]
-    return min_triangulars_bruteforce(target, generator_cap)[0]
-
-
-def _lex_smallest_parts(
-    target: int, count: int, cap: int, kind: DecompositionKind
-) -> list[int] | None:
-    """Non-increasing generator tuple of exactly `count` parts summing to
-    `target`, lexicographically smallest; parts bounded by `cap`.
-
-    The largest part is pushed as low as possible first, then the rest
-    recursively, which pins the witness deterministically.
-    """
-    if count == 0:
-        return [] if target == 0 else None
-    # The largest of `count` parts is at least target/count: start at the
-    # smallest k with count * w_k >= target.
-    for k in range(kind.max_index(max(target - 1, 0) // count) + 1, cap + 1):
-        v = kind.part_value(k)
-        if v > target:
-            break
-        rest = _lex_smallest_parts(target - v, count - 1, k, kind)
-        if rest is not None:
-            return [k] + rest
-    return None
-
-
 class _ParitySpec(NamedTuple):
     """What sets the two parities apart.  With W = sum_k w_k * N_{m-k}
     and h = N_m + charge * (N_0 + ... + N_{m-1}), the vanishing constraint
@@ -159,7 +114,7 @@ def _l_search(m: int, parity: Parity, l_cap: int) -> MinimizationOutcome:
         count = _bounded_min_count(target, m, spec.kind)
         middle = 12 * l // r - spec.charge * count
         if middle >= 0:
-            parts = _lex_smallest_parts(target, count, m, spec.kind)
+            parts = _polygonal_parts(target, count, m, spec.kind, largest_first=False)
             assert parts is not None
             counts = [0] * (m + 1)
             for k in parts:
@@ -196,8 +151,7 @@ def _lattice_box(n: int, value_cap: int, box_limit: int = _BOX_LIMIT) -> int:
     """The largest weighted sum W = sum_k w_k * N_{m-k} the lattice
     enumeration for n scans under value_cap.  Raises BoxTooLarge when the
     box of coordinates 0 <= N_{m-k} <= W // w_k has more than box_limit
-    points; both depend on n and the cap alone, so a caller can check a
-    range of n before enumerating any."""
+    points; both depend on n and the cap alone."""
     m, spec = n // 2, _SPECS[_parity(n)]
     # The objective is scale*h/12 with h = 12W/d, so W is at most this.
     max_weighted = (m - spec.shift) * value_cap // spec.scale

@@ -4,6 +4,11 @@ and minimal representations as sums of polygonal parts.
 The fast paths are the classical criteria (Lagrange, Legendre, Euler,
 Gauss, Ewell); bounded breadth-first searches provide independent
 brute-force counterparts so every criterion can be cross-checked.
+This module alone decides how a target splits into polygonal parts: one
+rule gives the minimal count under a generator cap, and one bounded
+search writes the target as exactly that many parts, largest-first for
+min_squares / min_triangulars and lexicographically smallest for the
+l-search witness in `minimizer`.
 All functions are pure and deterministic.
 """
 
@@ -197,12 +202,6 @@ class Factorization:
             out *= p**e
         return out
 
-    def exponent(self, prime: int) -> int:
-        for p, e in self.factors:
-            if p == prime:
-                return e
-        return 0
-
     def validate(self) -> None:
         """Full invariant check: every listed prime really is prime."""
         for p, _ in self.factors:
@@ -307,11 +306,6 @@ def is_triangular(n: int) -> bool:
     return is_square(8 * n + 1)
 
 
-def _tri_index(n: int) -> int:
-    """Largest k with k(k+1)/2 <= n."""
-    return (math.isqrt(8 * n + 1) - 1) // 2
-
-
 def _free_of_odd_3mod4(f: Factorization) -> bool:
     """The criteria's condition read off a full factorization; tests
     compare the criteria against it."""
@@ -376,7 +370,7 @@ class DecompositionKind(Enum):
         """Largest k >= 0 with part_value(k) <= value, for value >= 0."""
         if self is DecompositionKind.SQUARES:
             return math.isqrt(value)
-        return _tri_index(value)
+        return (math.isqrt(8 * value + 1) - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -414,16 +408,30 @@ def _make_decomposition(kind: DecompositionKind, generators: list[int], target: 
     return Decomposition(kind, tuple(sorted(counts.items())), target)
 
 
-def _greedy_parts(target: int, count: int, hi: int, kind: DecompositionKind) -> list[int] | None:
-    """Largest-first search with backtracking for exactly `count` parts
-    with generators in 1..hi summing to target."""
+def _polygonal_parts(
+    target: int, count: int, cap: int, kind: DecompositionKind, largest_first: bool
+) -> list[int] | None:
+    """Non-increasing generator tuple of exactly `count` parts w_k,
+    1 <= k <= cap, summing to `target`: the lexicographically largest one
+    when largest_first, else the smallest; None when there is none.
+
+    The largest part w_k lies in the window w_k <= target <= count * w_k.
+    Only the end the walk starts from is computed (the top when
+    largest_first, else the bottom), and the walk stops on leaving the
+    window, which is cheaper than bounding both ends up front.  The rest
+    is the same search one part shorter, with generators capped at k.
+    """
     if count == 0:
         return [] if target == 0 else None
-    for k in range(min(hi, kind.max_index(target)), 0, -1):
+    if largest_first:
+        ks = range(min(cap, kind.max_index(target)), 0, -1)
+    else:
+        ks = range(kind.max_index(max(target - 1, 0) // count) + 1, cap + 1)
+    for k in ks:
         v = kind.part_value(k)
-        if v * count < target:
+        if v > target or v * count < target:
             break
-        rest = _greedy_parts(target - v, count - 1, k, kind)
+        rest = _polygonal_parts(target - v, count - 1, k, kind, largest_first)
         if rest is not None:
             return [k] + rest
     return None
@@ -449,6 +457,34 @@ def _min_triangulars_count(n: int) -> int:
     return 3
 
 
+def _bounded_min_count(target: int, generator_cap: int, kind: DecompositionKind) -> int:
+    """Minimal part count for `target` with generators 1..generator_cap.
+
+    When target <= (largest allowed part) every representation respects
+    the cap automatically and the fast criteria apply; otherwise fall
+    back to the exact bounded search.
+    """
+    if target == 0:
+        return 0
+    if target <= kind.part_value(generator_cap):
+        if kind is DecompositionKind.SQUARES:
+            return _min_squares_count(target)
+        return _min_triangulars_count(target)
+    return _bruteforce_min(target, generator_cap, kind)[0]
+
+
+def _min_parts(n: int, kind: DecompositionKind) -> tuple[int, Decomposition]:
+    """Minimal count of parts of `kind` summing to n >= 0, from the
+    criteria, with the largest-first witness."""
+    if n < 0:
+        raise ValueError(f"min_{kind.value} requires n >= 0")
+    count = _bounded_min_count(n, n, kind)
+    parts = _polygonal_parts(n, count, n, kind, largest_first=True)
+    if parts is None:  # criteria guarantee existence
+        raise AssertionError(f"no {count}-part {kind.value} witness for {n}")
+    return count, _make_decomposition(kind, parts, n)
+
+
 def min_squares(n: int) -> tuple[int, Decomposition]:
     """Minimal number of positive squares summing to n, with a witness.
 
@@ -456,30 +492,14 @@ def min_squares(n: int) -> tuple[int, Decomposition]:
     2 when the two-squares criterion holds, 4 exactly on 4^k(8t+7), and 3
     otherwise.  The witness is found by bounded largest-first search.
     """
-    if n < 0:
-        raise ValueError("min_squares requires n >= 0")
-    if n == 0:
-        return 0, Decomposition(DecompositionKind.SQUARES, (), 0)
-    count = _min_squares_count(n)
-    parts = _greedy_parts(n, count, math.isqrt(n), DecompositionKind.SQUARES)
-    if parts is None:  # criteria guarantee existence
-        raise AssertionError(f"no {count}-square witness for {n}")
-    return count, _make_decomposition(DecompositionKind.SQUARES, parts, n)
+    return _min_parts(n, DecompositionKind.SQUARES)
 
 
 def min_triangulars(n: int) -> tuple[int, Decomposition]:
     """Minimal number of positive triangular numbers summing to n, with a
     witness: 0 for n=0, 1 for triangular n, 2 under the criterion on 4n+1,
     and 3 otherwise."""
-    if n < 0:
-        raise ValueError("min_triangulars requires n >= 0")
-    if n == 0:
-        return 0, Decomposition(DecompositionKind.TRIANGULARS, (), 0)
-    count = _min_triangulars_count(n)
-    parts = _greedy_parts(n, count, _tri_index(n), DecompositionKind.TRIANGULARS)
-    if parts is None:
-        raise AssertionError(f"no {count}-triangular witness for {n}")
-    return count, _make_decomposition(DecompositionKind.TRIANGULARS, parts, n)
+    return _min_parts(n, DecompositionKind.TRIANGULARS)
 
 
 def _reach_levels(weights: list[int], limit: int) -> Iterator[int]:

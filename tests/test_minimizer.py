@@ -12,13 +12,12 @@ from fpbounds.minimizer import (
     _bounded_min_count,
     _lattice_objectives,
     _lattice_points,
-    _lex_smallest_parts,
     enumerate_feasible,
     minimize_even,
     minimize_odd,
     witness_full_profile,
 )
-from fpbounds.numtheory import DecompositionKind
+from fpbounds.numtheory import DecompositionKind, _polygonal_parts
 
 
 def check_outcome(outcome):
@@ -342,6 +341,31 @@ def test_lex_smallest_parts_matches_scan_from_1(kind):
     for target in range(401):
         for count in range(5):
             for cap in range(1, 26):
-                assert _lex_smallest_parts(target, count, cap, kind) == (
+                assert _polygonal_parts(target, count, cap, kind, largest_first=False) == (
                     _lex_smallest_parts_scan(target, count, cap, kind)
+                ), (target, count, cap)
+
+
+def _greedy_parts(target, count, hi, kind):
+    """Reference: the largest-first search that min_squares and
+    min_triangulars used before it merged with the smallest-first one."""
+    if count == 0:
+        return [] if target == 0 else None
+    for k in range(min(hi, kind.max_index(target)), 0, -1):
+        v = kind.part_value(k)
+        if v * count < target:
+            break
+        rest = _greedy_parts(target - v, count - 1, k, kind)
+        if rest is not None:
+            return [k] + rest
+    return None
+
+
+@pytest.mark.parametrize("kind", list(DecompositionKind))
+def test_largest_first_parts_match_greedy(kind):
+    for target in range(401):
+        for count in range(5):
+            for cap in range(1, 26):
+                assert _polygonal_parts(target, count, cap, kind, largest_first=True) == (
+                    _greedy_parts(target, count, cap, kind)
                 ), (target, count, cap)

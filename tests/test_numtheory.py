@@ -250,10 +250,12 @@ def test_bruteforce_rejects_bad_args():
 
 def test_criteria_agree_with_bruteforce():
     # The per-value oracle with the generator bounds that make it unbounded
-    # in effect; the full 10^5 sweep lives in the acceptance suite.
+    # in effect; the full 10^5 sweep lives in the acceptance suite.  The
+    # oracle rebuilds its witness level by level, largest part first, so
+    # the whole results agree: count and witness.
     for n in range(0, 2000):
-        assert min_squares(n)[0] == min_squares_bruteforce(n, math.isqrt(n) + 1)[0]
-        assert min_triangulars(n)[0] == min_triangulars_bruteforce(n, math.isqrt(2 * n) + 1)[0]
+        assert min_squares(n) == min_squares_bruteforce(n, math.isqrt(n) + 1)
+        assert min_triangulars(n) == min_triangulars_bruteforce(n, math.isqrt(2 * n) + 1)
 
 
 def test_min_squares_count_4_iff_legendre_form():
