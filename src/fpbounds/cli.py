@@ -27,7 +27,6 @@ from .chern import (
     parse_profile,
 )
 from .minimizer import (
-    BoxTooLarge,
     _lattice_objectives,
     minimize_even,
     minimize_odd,
@@ -381,27 +380,6 @@ def _verify_checks(max_m: int, lattice_max_n: int) -> tuple[list[str], list[str]
     failures: list[str] = []
     seen: set[str] = set()
 
-    # The lattice check runs before the sweep, so a box past the guard
-    # stops the command before any long work; its line still comes after.
-    lattice_bad = []
-    for n in range(2, lattice_max_n + 1):
-        try:
-            objectives = _lattice_objectives(n, _LATTICE_CAP)
-        except BoxTooLarge as exc:
-            raise click.UsageError(
-                f"--lattice-max-n {lattice_max_n} is beyond the lattice box guard, "
-                f"first tripped at n = {n}: {exc}"
-            )
-        expected = closed_form_bound(n).value
-        if not objectives or objectives[0] != expected:
-            got = objectives[0] if objectives else None
-            lattice_bad.append(f"n={n}: closed-form={expected}, lattice={got}")
-            continue
-        modulus = divisibility_modulus(n)
-        bad = [objective for objective in objectives if objective % modulus]
-        if bad:
-            lattice_bad.append(f"n={n}: objectives {bad[:3]} not divisible by {modulus}")
-
     for label, solve, first, l_max in (
         ("even", minimize_even, 2, 7),
         ("odd", minimize_odd, 3, 3),
@@ -420,6 +398,19 @@ def _verify_checks(max_m: int, lattice_max_n: int) -> tuple[list[str], list[str]
             failures.append(f"closed form vs l-search ({label}): {'; '.join(mismatch[:5])}")
         else:
             passed.append(f"closed form vs l-search agrees for {label} n = {first}..{last}")
+
+    lattice_bad = []
+    for n in range(2, lattice_max_n + 1):
+        objectives = _lattice_objectives(n, _LATTICE_CAP)
+        expected = closed_form_bound(n).value
+        if not objectives or objectives[0] != expected:
+            got = objectives[0] if objectives else None
+            lattice_bad.append(f"n={n}: closed-form={expected}, lattice={got}")
+            continue
+        modulus = divisibility_modulus(n)
+        bad = [objective for objective in objectives if objective % modulus]
+        if bad:
+            lattice_bad.append(f"n={n}: objectives {bad[:3]} not divisible by {modulus}")
 
     if lattice_bad:
         failures.append(f"lattice enumeration: {'; '.join(lattice_bad[:5])}")

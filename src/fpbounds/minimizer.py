@@ -17,12 +17,13 @@ Both return witness profiles that can be re-verified through the Chern
 formula (the expanded witness always has c1*c(n-1) = 0).
 
 When only the set of objectives is wanted, as in `verify`, it is decided
-over the same box without listing profiles: one reachability bitset per
-part count j holds the totals W reachable with at most j parts, and W is
-an objective exactly when 12W = 0 mod d and W is reachable with at most
-h // charge parts, h = 12W/d; the middle count takes up the rest.  This is
-complete for the same reason the walk is, and again no number theory
-enters.
+without listing profiles: one reachability bitset per part count j holds
+the totals W reachable with at most j parts, and W is an objective exactly
+when 12W = 0 mod d and W is reachable with at most h // charge parts,
+h = 12W/d; the middle count takes up the rest.  This is complete for the
+same reason the walk is, and again no number theory enters.  Only the
+listing walk is bounded by the box volume (BoxTooLarge); the bitsets cost
+a few dozen shifts of W_max-bit integers, so the oracle has no guard.
 """
 
 from __future__ import annotations
@@ -147,36 +148,27 @@ def _parity(n: int) -> Parity:
     return Parity.EVEN if n % 2 == 0 else Parity.ODD
 
 
-def _lattice_box(n: int, value_cap: int, box_limit: int = _BOX_LIMIT) -> int:
-    """The largest weighted sum W = sum_k w_k * N_{m-k} the lattice
-    enumeration for n scans under value_cap.  Raises BoxTooLarge when the
-    box of coordinates 0 <= N_{m-k} <= W // w_k has more than box_limit
-    points; both depend on n and the cap alone."""
-    m, spec = n // 2, _SPECS[_parity(n)]
-    # The objective is scale*h/12 with h = 12W/d, so W is at most this.
-    max_weighted = (m - spec.shift) * value_cap // spec.scale
-    volume = math.prod(max_weighted // spec.kind.part_value(k) + 1 for k in range(1, m + 1))
-    if volume > box_limit:
-        raise BoxTooLarge(f"enumeration box has {volume} points (limit {box_limit})")
-    return max_weighted
-
-
 def _lattice_points(
     n: int, value_cap: int, box_limit: int = _BOX_LIMIT
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Sorted (objective, counts) pairs of every feasible reduced profile of
     n with objective <= value_cap: a depth-first walk over N_0..N_{m-1}
-    inside the box of `_lattice_box`, with two cuts that follow from
-    G = 12W - d*h = 0 and the cap.  N_m = h - charge*parts >= 0 with
-    h <= 12*max_weighted/d bounds the parts of every branch; and N_{m-1}
+    inside the box 0 <= N_{m-k} <= max_weighted // w_k, with two cuts that
+    follow from G = 12W - d*h = 0 and the cap.  N_m = h - charge*parts >= 0
+    with h <= 12*max_weighted/d bounds the parts of every branch; and N_{m-1}
     has weight w_1 = 1, so it steps only through totals W with 12W = 0 mod d.
+    Raises BoxTooLarge when the box has more than box_limit points.
     """
     m, spec = n // 2, _SPECS[_parity(n)]
     d = m - spec.shift
     if d == 0:
         # n = 3: G = 12W forces N_0 = 0, and any h = N_1 >= 1 is feasible.
         return [(2 * h, (0, h)) for h in range(1, value_cap // 2 + 1)]
-    max_weighted = _lattice_box(n, value_cap, box_limit)
+    # The objective is scale*h/12 with h = 12W/d, so W is at most this.
+    max_weighted = d * value_cap // spec.scale
+    volume = math.prod(max_weighted // spec.kind.part_value(k) + 1 for k in range(1, m + 1))
+    if volume > box_limit:
+        raise BoxTooLarge(f"enumeration box has {volume} points (limit {box_limit})")
     max_parts = 12 * max_weighted // d // spec.charge
     step = d // math.gcd(d, 12)  # 12W = 0 mod d iff W = 0 mod step
     weights = [spec.kind.part_value(k) for k in range(m + 1)]
@@ -203,19 +195,20 @@ def _lattice_points(
     return found
 
 
-def _lattice_objectives(n: int, value_cap: int, box_limit: int = _BOX_LIMIT) -> list[int]:
+def _lattice_objectives(n: int, value_cap: int) -> list[int]:
     """The sorted distinct objectives of `_lattice_points(n, value_cap)`,
-    decided without listing a profile.  A total W <= max_weighted with
-    12W = 0 mod d gives h = 12W/d; a profile with j parts reaching W has
-    N_m = h - charge*j >= 0 exactly when j <= h // charge, and every such
-    profile lies in the box.  So W is an objective iff it is set in the
-    bitset of totals reachable with at most h // charge parts."""
+    decided without listing a profile, so with no box-volume guard.  A
+    total W <= max_weighted with 12W = 0 mod d gives h = 12W/d; a profile
+    with j parts reaching W has N_m = h - charge*j >= 0 exactly when
+    j <= h // charge, and every such profile lies in the walk's box.  So W
+    is an objective iff it is set in the bitset of totals reachable with
+    at most h // charge parts."""
     m, spec = n // 2, _SPECS[_parity(n)]
     d = m - spec.shift
     if d == 0:
         # n = 3: the objectives 2h of the profiles (0, h), h >= 1.
         return list(range(2, value_cap + 1, 2))
-    max_weighted = _lattice_box(n, value_cap, box_limit)
+    max_weighted = d * value_cap // spec.scale  # as in `_lattice_points`
     max_parts = 12 * max_weighted // d // spec.charge
     top = min(m, spec.kind.max_index(max_weighted))  # heavier parts overshoot every W
     weights = [spec.kind.part_value(k) for k in range(1, top + 1)]
@@ -235,9 +228,9 @@ def enumerate_feasible(
 ) -> list[MinimizationOutcome]:
     """All feasible reduced profiles with objective <= value_cap, sorted by
     objective and then lexicographically by witness.  Complete: each such
-    profile lies in the box of `_lattice_box`, and the walk in
-    `_lattice_points` cuts only branches that the constraint rules out.
-    Raises BoxTooLarge when the box volume exceeds `box_limit`.
+    profile lies in the box that the walk in `_lattice_points` scans, and
+    the walk cuts only branches that the constraint rules out.  Raises
+    BoxTooLarge when the box volume exceeds `box_limit`.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")

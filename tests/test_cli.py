@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import pathlib
-import time
 
 import pytest
 from click.testing import CliRunner
@@ -232,12 +231,16 @@ def test_verify_small_run_passes(runner):
     assert "warning: full even-case coverage needs --max-m >= 504" in res.output
 
 
-def test_verify_past_lattice_guard_exits_2(runner):
-    res = runner.invoke(cli, ["verify", "--max-m", "1", "--lattice-max-n", "54"])
-    assert res.exit_code == 2
-    assert "RESULT" not in res.output
-    assert "first tripped at n = 54" in res.output
-    assert "(limit 100000000)" in res.output
+def test_verify_lattice_reaches_l7(runner):
+    # n = 1008 is the first even n with l = 7; the lattice check has no box guard.
+    res = runner.invoke(cli, ["verify", "--max-m", "1", "--lattice-max-n", "1008"])
+    assert res.exit_code == 0
+    lines = res.output.splitlines()
+    assert (
+        "ok: lattice enumeration (cap 48) matches closed form and the divisibility rule "
+        "for n = 2..1008"
+    ) in lines
+    assert lines[-1] == "RESULT PASS"
 
 
 def test_verify_rejects_max_m_0(runner):
@@ -249,14 +252,6 @@ def test_min_fixed_points_matches_cli_c1_zero(runner):
     for n in (2, 9, 10):
         res = runner.invoke(cli, ["bound", str(n), "--c1-zero", "--format", "json"])
         assert json.loads(res.output)["value"] == min_fixed_points(n, True)
-
-
-def test_verify_checks_lattice_guard_before_the_sweep(runner):
-    start = time.perf_counter()
-    res = runner.invoke(cli, ["verify", "--max-m", "20000", "--lattice-max-n", "54"])
-    assert time.perf_counter() - start < 2
-    assert res.exit_code == 2
-    assert "first tripped at n = 54" in res.output
 
 
 def test_verify_golden_output(runner):
@@ -295,6 +290,22 @@ def test_verify_reports_lattice_failure(runner, monkeypatch, name, fake, detail)
         f"FAIL: lattice enumeration: {detail}"
     ]
     assert not any(line.startswith("ok: lattice enumeration") for line in lines)
+    assert lines[-1] == "RESULT FAIL"
+
+
+def _minimum_dropped_at_1008(n, value_cap):
+    objectives = _lattice_objectives(n, value_cap)
+    return objectives[1:] if n == 1008 else objectives
+
+
+def test_verify_reports_lattice_failure_past_n_53(runner, monkeypatch):
+    monkeypatch.setattr("fpbounds.cli._lattice_objectives", _minimum_dropped_at_1008)
+    res = runner.invoke(cli, ["verify", "--max-m", "1", "--lattice-max-n", "1008"])
+    assert res.exit_code == 1
+    lines = res.output.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL: lattice enumeration: n=1008: closed-form=7, lattice=8"
+    ]
     assert lines[-1] == "RESULT FAIL"
 
 

@@ -302,19 +302,24 @@ def test_lattice_objectives_n3():
 
 
 def test_lattice_objectives_box_guard():
+    # The volume guard bounds only the listing walk; the oracle has none.
     with pytest.raises(BoxTooLarge) as walk:
         _lattice_points(54, 48)
-    with pytest.raises(BoxTooLarge) as oracle:
-        _lattice_objectives(54, 48)
-    assert str(oracle.value) == str(walk.value)
+    assert str(walk.value) == "enumeration box has 133311360 points (limit 100000000)"
+
+
+def test_lattice_objectives_match_walk_past_the_guard():
+    for n in range(54, 71):
+        assert _lattice_objectives(n, 48) == sorted(
+            {o for o, _ in _lattice_points(n, 48, box_limit=math.inf)}
+        ), n
 
 
 def test_lattice_objectives_reach_l7():
-    # The guard lifted, the route with no number theory reaches n = 1008,
-    # the even case with l = 7.
+    # The route with no number theory reaches n = 1008, the even case with l = 7.
     assert closed_form_bound(1008).l == 7
     for n in range(2, 1009):
-        objectives = _lattice_objectives(n, 48, box_limit=math.inf)
+        objectives = _lattice_objectives(n, 48)
         assert objectives[0] == closed_form_bound(n).value, n
         modulus = divisibility_modulus(n)
         assert all(o % modulus == 0 for o in objectives), n
