@@ -21,17 +21,13 @@ from .bounds import (
     min_fixed_points,
 )
 from .chern import (
+    Parity,
     ProfileError,
     chern_c1cn1,
     dim6_hamiltonian_classifier,
     parse_profile,
 )
-from .minimizer import (
-    _lattice_objectives,
-    minimize_even,
-    minimize_odd,
-    witness_full_profile,
-)
+from .minimizer import _l_search, _lattice_objectives, witness_full_profile
 
 __all__ = ["main", "cli", "TableRow", "summary_rows"]
 
@@ -380,16 +376,16 @@ def _verify_checks(max_m: int, lattice_max_n: int) -> tuple[list[str], list[str]
     failures: list[str] = []
     seen: set[str] = set()
 
-    for label, solve, first, l_max in (
-        ("even", minimize_even, 2, 7),
-        ("odd", minimize_odd, 3, 3),
+    for label, parity, first, l_max in (
+        ("even", Parity.EVEN, 2, 7),
+        ("odd", Parity.ODD, 3, 3),
     ):
         last = 2 * max_m + first - 2
         mismatch = []
         for n in range(first, last + 1, 2):
             result = closed_form_bound(n)
             seen.add(result.branch)
-            solved = solve(n // 2)
+            solved = _l_search(n // 2, parity)
             if solved.minimum != result.value or solved.l > l_max:
                 mismatch.append(
                     f"n={n}: closed-form={result.value}, l-search={solved.minimum} (l={solved.l})"

@@ -14,7 +14,10 @@ Two routes compute the same minima as the closed-form case analysis:
   so no number theory enters and no feasible profile is skipped.
 
 Both return witness profiles that can be re-verified through the Chern
-formula (the expanded witness always has c1*c(n-1) = 0).
+formula (the expanded witness always has c1*c(n-1) = 0).  The l-search
+keeps its witness sparse, as generators and a middle count; only
+minimize_even / minimize_odd build the dense profile, so `verify`'s sweep,
+which reads the minimum and l, is linear in its range.
 
 When only the set of objectives is wanted, as in `verify`, it is decided
 without listing profiles: one reachability bitset per part count j holds
@@ -101,10 +104,21 @@ _SPECS = {
 }
 
 
-def _l_search(m: int, parity: Parity, l_cap: int) -> MinimizationOutcome:
+class _LSolution(NamedTuple):
+    """The l-search's answer in sparse form: N_{m-k} counts the generators
+    equal to k in `parts` (lexicographically smallest), N_m is `middle`."""
+
+    l: int
+    minimum: int
+    parts: list[int]
+    middle: int
+
+
+def _l_search(m: int, parity: Parity, l_cap: int = 24) -> _LSolution:
     """Smallest l >= 1 such that l*d/r is a sum of parts w_k (1 <= k <= m)
     whose count leaves N_m = 12l/r - charge*count non-negative; the
-    minimum is then scale*l/r."""
+    minimum is then scale*l/r.  The parts are found, as their existence is
+    what this route adds to the criteria, but no dense profile is built."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     spec = _SPECS[parity]
@@ -117,23 +131,29 @@ def _l_search(m: int, parity: Parity, l_cap: int) -> MinimizationOutcome:
         if middle >= 0:
             parts = _polygonal_parts(target, count, m, spec.kind, largest_first=False)
             assert parts is not None
-            counts = [0] * (m + 1)
-            for k in parts:
-                counts[m - k] += 1
-            counts[m] = middle
-            witness = ReducedProfile(m, tuple(counts), parity)
-            return MinimizationOutcome(
-                n=witness.n, minimum=spec.scale * l // r, l=l, witness=witness,
-                method=SolveMethod.L_SEARCH,
-            )
+            return _LSolution(l, spec.scale * l // r, parts, middle)
     raise CapExceeded(f"no l <= {l_cap} works for m = {m} ({parity.value} case)")
+
+
+def _minimize(m: int, parity: Parity, l_cap: int) -> MinimizationOutcome:
+    """The l-search's solution as a dense, validated witness profile."""
+    solution = _l_search(m, parity, l_cap)
+    counts = [0] * (m + 1)
+    for k in solution.parts:
+        counts[m - k] += 1
+    counts[m] = solution.middle
+    witness = ReducedProfile(m, tuple(counts), parity)
+    return MinimizationOutcome(
+        n=witness.n, minimum=solution.minimum, l=solution.l, witness=witness,
+        method=SolveMethod.L_SEARCH,
+    )
 
 
 def minimize_even(m: int, l_cap: int = 24) -> MinimizationOutcome:
     """Minimum of the fixed-point count over feasible profiles for n = 2m:
     the smallest l with l*m/r a sum of squares k^2 (1 <= k <= m) in at
     most 6l/r parts gives the minimum 12*l/r."""
-    return _l_search(m, Parity.EVEN, l_cap)
+    return _minimize(m, Parity.EVEN, l_cap)
 
 
 def minimize_odd(m: int, l_cap: int = 24) -> MinimizationOutcome:
@@ -141,7 +161,7 @@ def minimize_odd(m: int, l_cap: int = 24) -> MinimizationOutcome:
     the smallest l with l*(m-1)/r a sum of triangular numbers T_k
     (1 <= k <= m) in at most 12l/r parts gives the minimum 24*l/r.  For
     m = 1 the target is 0 and the minimum is 2."""
-    return _l_search(m, Parity.ODD, l_cap)
+    return _minimize(m, Parity.ODD, l_cap)
 
 
 def _parity(n: int) -> Parity:

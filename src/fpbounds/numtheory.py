@@ -263,7 +263,10 @@ def _split_cofactor(rem: int) -> dict[int, int]:
         a, mult = stack.pop()
         if a == 1:
             continue
-        if is_prime(a):
+        # a is prime or free of primes below 1000, so a composite a has two
+        # or more prime factors >= 1009, the first prime above 997: every a
+        # below 1009^2 is proven prime by trial division already.
+        if a < 1009 * 1009 or is_prime(a):
             counts[a] = counts.get(a, 0) + mult
             continue
         power = _perfect_power(a)
@@ -419,10 +422,14 @@ def _polygonal_parts(
     Only the end the walk starts from is computed (the top when
     largest_first, else the bottom), and the walk stops on leaving the
     window, which is cheaper than bounding both ends up front.  The rest
-    is the same search one part shorter, with generators capped at k.
+    is the same search one part shorter, with generators capped at k.  One
+    part is read off: w_k, k = max_index(target), if 1 <= k <= cap, w_k = target.
     """
     if count == 0:
         return [] if target == 0 else None
+    if count == 1:
+        k = kind.max_index(target)
+        return [k] if 1 <= k <= cap and kind.part_value(k) == target else None
     if largest_first:
         ks = range(min(cap, kind.max_index(target)), 0, -1)
     else:

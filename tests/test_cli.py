@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import pathlib
 
@@ -9,7 +8,8 @@ from hypothesis import strategies as st
 
 from fpbounds.bounds import closed_form_bound, divisibility_modulus, min_fixed_points
 from fpbounds.cli import _render_json, cli
-from fpbounds.minimizer import _lattice_objectives, minimize_odd
+from fpbounds.chern import Parity
+from fpbounds.minimizer import _l_search, _lattice_objectives
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -309,21 +309,39 @@ def test_verify_reports_lattice_failure_past_n_53(runner, monkeypatch):
     assert lines[-1] == "RESULT FAIL"
 
 
-def _odd_minimum_doubled_at_m8(m, l_cap=24):
-    outcome = minimize_odd(m, l_cap)
-    return dataclasses.replace(outcome, minimum=2 * outcome.minimum) if m == 8 else outcome
+def _minimum_doubled_at(parity, at_m):
+    """A stand-in for the sparse l-search that `verify` calls, doubling the
+    minimum for one m of one parity."""
+    def l_search(m, p, l_cap=24):
+        solution = _l_search(m, p, l_cap)
+        if (p, m) == (parity, at_m):
+            return solution._replace(minimum=2 * solution.minimum)
+        return solution
+    return l_search
 
 
-def test_verify_reports_lsearch_failure(runner, monkeypatch):
-    monkeypatch.setattr("fpbounds.cli.minimize_odd", _odd_minimum_doubled_at_m8)
+def _assert_lsearch_failure(runner, monkeypatch, parity, at_m, expected):
+    monkeypatch.setattr("fpbounds.cli._l_search", _minimum_doubled_at(parity, at_m))
     res = runner.invoke(cli, ["verify", "--max-m", "30", "--lattice-max-n", "20"])
     assert res.exit_code == 1
     lines = res.output.splitlines()
-    assert [line for line in lines if line.startswith("FAIL")] == [
-        "FAIL: closed form vs l-search (odd): n=17: closed-form=24, l-search=48 (l=1)"
-    ]
-    assert not any(line.startswith("ok: closed form vs l-search (odd)") for line in lines)
+    assert [line for line in lines if line.startswith("FAIL")] == [expected]
+    assert not any(line.startswith(f"ok: closed form vs l-search ({parity.value})") for line in lines)
     assert lines[-1] == "RESULT FAIL"
+
+
+def test_verify_reports_lsearch_failure(runner, monkeypatch):
+    _assert_lsearch_failure(
+        runner, monkeypatch, Parity.ODD, 8,
+        "FAIL: closed form vs l-search (odd): n=17: closed-form=24, l-search=48 (l=1)",
+    )
+
+
+def test_verify_reports_lsearch_failure_even(runner, monkeypatch):
+    _assert_lsearch_failure(
+        runner, monkeypatch, Parity.EVEN, 10,
+        "FAIL: closed form vs l-search (even): n=20: closed-form=6, l-search=12 (l=1)",
+    )
 
 
 @st.composite

@@ -10,6 +10,7 @@ from fpbounds.minimizer import (
     CapExceeded,
     SolveMethod,
     _bounded_min_count,
+    _l_search,
     _lattice_objectives,
     _lattice_points,
     enumerate_feasible,
@@ -374,3 +375,25 @@ def test_largest_first_parts_match_greedy(kind):
                 assert _polygonal_parts(target, count, cap, kind, largest_first=True) == (
                     _greedy_parts(target, count, cap, kind)
                 ), (target, count, cap)
+
+
+@pytest.mark.parametrize("parity", list(Parity))
+def test_sparse_l_search_matches_dense_outcome(parity):
+    minimize, kind, charge, shift = {
+        Parity.EVEN: (minimize_even, DecompositionKind.SQUARES, 2, 0),
+        Parity.ODD: (minimize_odd, DecompositionKind.TRIANGULARS, 1, 1),
+    }[parity]
+    for m in range(1, 3001):
+        solution = _l_search(m, parity)
+        outcome = minimize(m)
+        assert (solution.minimum, solution.l) == (outcome.minimum, outcome.l)
+        counts = [0] * (m + 1)
+        for k in solution.parts:
+            counts[m - k] += 1
+        counts[m] = solution.middle
+        assert tuple(counts) == outcome.witness.counts
+        d = m - shift
+        r = math.gcd(d, 12)
+        assert all(1 <= k <= m for k in solution.parts)
+        assert sum(kind.part_value(k) for k in solution.parts) == solution.l * d // r
+        assert solution.middle == 12 * solution.l // r - charge * len(solution.parts) >= 0

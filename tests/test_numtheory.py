@@ -10,6 +10,7 @@ from fpbounds.numtheory import (
     Factorization,
     Unrepresentable,
     _free_of_odd_3mod4,
+    _split_cofactor,
     _strong_lucas_probable_prime,
     factorize,
     is_legendre_form,
@@ -35,6 +36,10 @@ from fpbounds.numtheory import (
         (2, ((2, 1),)),
         (1024, ((2, 10),)),
         (997, ((997, 1),)),
+        # Around 1009^2, below which a cofactor is prime without a test.
+        (1009**2, ((1009, 2),)),
+        (1009 * 1013, ((1009, 1), (1013, 1))),
+        (997 * 1009, ((997, 1), (1009, 1))),
     ],
 )
 def test_factorize_examples(n, factors):
@@ -279,3 +284,44 @@ def test_decomposition_validate_rejects_bad_sum():
 
 def test_unrepresentable_error_type():
     assert issubclass(Unrepresentable, ValueError)
+
+
+def _smallest_prime_factors(limit):
+    """spf[n] for 0 <= n < limit: writing each prime's multiples from p^2 on,
+    largest prime first, leaves the smallest prime factor last."""
+    spf = list(range(limit))
+    primes = [p for p in range(2, math.isqrt(limit - 1) + 1)
+              if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    for p in reversed(primes):
+        spf[p * p :: p] = [p] * len(range(p * p, limit, p))
+    return spf
+
+
+def test_factorize_matches_sieve_around_1009_squared():
+    """Cofactors below 1009^2 are taken as prime without a primality test;
+    the window covers both sides of that bound."""
+    lo, hi = 10**6 - 2 * 10**4, 1009**2 + 2 * 10**4
+    spf = _smallest_prime_factors(hi + 1)
+    for n in range(lo, hi + 1):
+        counts = {}
+        rest = n
+        while rest > 1:
+            counts[spf[rest]] = counts.get(spf[rest], 0) + 1
+            rest //= spf[rest]
+        assert factorize(n).factors == tuple(sorted(counts.items())), n
+
+
+def test_split_cofactor_tests_primality_only_from_1009_squared(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr("fpbounds.numtheory.is_prime", counted)
+    below = next(a for a in range(1009**2 - 1, 0, -1) if is_prime(a))
+    assert _split_cofactor(below) == {below: 1}
+    assert _split_cofactor(1009) == {1009: 1}
+    assert calls == []
+    assert _split_cofactor(1009**2) == {1009: 2}
+    assert calls == [1009**2]
