@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
+from typing import Iterable
 
 __all__ = [
     "ProfileError",
@@ -156,10 +157,12 @@ def chern_c1cn1(profile: FixedPointProfile) -> int:
         raise EmptyProfile("the fixed point set must be nonempty")
     counts, n = profile.counts, profile.n
     # Zero entries add nothing, and a witness profile is almost all zeros.
-    doubled = sum(
-        counts[i] * g_coeff_doubled(i, n) for i in compress(range(n + 1), counts)
-    )
-    return doubled // 2
+    return _chern_sum(n, ((i, counts[i]) for i in compress(range(n + 1), counts)))
+
+
+def _chern_sum(n: int, entries: Iterable[tuple[int, int]]) -> int:
+    """sum_i N_i * g(i, n) over (i, N_i) entries; zero entries may be left out."""
+    return sum(count * g_coeff_doubled(i, n) for i, count in entries) // 2
 
 
 def f1(rp: ReducedProfile) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import compress
+from json.encoder import encode_basestring_ascii
 
 import click
 
@@ -23,11 +24,12 @@ from .bounds import (
 from .chern import (
     Parity,
     ProfileError,
+    _chern_sum,
     chern_c1cn1,
     dim6_hamiltonian_classifier,
     parse_profile,
 )
-from .minimizer import _l_search, _lattice_objectives, witness_full_profile
+from .minimizer import _l_search, _lattice_objectives, _sparse_witness
 
 __all__ = ["main", "cli", "TableRow", "summary_rows"]
 
@@ -176,43 +178,42 @@ def _require_half_dimension(n: int) -> None:
         raise click.UsageError(f"n must be >= 2 (dimension >= 4), got {n}")
 
 
-_ITEM_SEP = ",\n    "
-_ZERO_ITEM = "0" + _ITEM_SEP
-
-
-def _int_list_json(values: list[int]) -> str:
-    """`values` as json.dumps renders a list nested one level in a dict
-    under indent=2.  Runs of zeros are made by string repetition, so only
-    the nonzero entries cost Python work."""
-    if not values:
-        return "[]"
-    parts = ["[\n    "]
-    start = 0
-    for i in compress(range(len(values)), values):
-        parts += (_ZERO_ITEM * (i - start), str(values[i]), _ITEM_SEP)
+def _int_list(length: int, entries: list[tuple[int, int]],
+              left: str, sep: str, right: str) -> list[str]:
+    """Pieces that join to the list of `length` >= 1 ints that are zero except
+    at `entries`, (index, value) pairs with the index increasing.  Runs of
+    zeros are made by string repetition, so only the entries cost Python work."""
+    zero = "0" + sep
+    pieces, start = [left], 0
+    for i, value in entries:
+        pieces += (zero * (i - start), str(value), sep)
         start = i + 1
-    tail = len(values) - start
-    if tail:
-        parts += (_ZERO_ITEM * (tail - 1), "0")
+    if start < length:
+        pieces += (zero * (length - start - 1), "0")
     else:
-        parts.pop()  # no separator after the last entry
-    parts.append("\n  ]")
-    return "".join(parts)
+        pieces.pop()  # no separator after the last entry
+    pieces.append(right)
+    return pieces
 
 
 def _render_json(payload: dict) -> str:
-    """Exactly json.dumps(payload, indent=2) for a nonempty dict whose
-    values are scalars, strings or lists of ints."""
-    items = []
+    """Exactly json.dumps(payload, indent=2), in one join, for a nonempty dict of
+    scalars, strings and int lists, dense or as (length, entries) for `_int_list`;
+    a dense list's entries are the ones that `compress` finds nonzero."""
+    pieces = ["{"]
     for key, value in payload.items():
-        if isinstance(value, list):
-            text = _int_list_json(value)
-        elif type(value) is int:
-            text = str(value)  # as json.dumps prints it, without its per-call set-up
+        pieces += ("\n  ", encode_basestring_ascii(key), ": ")  # json.dumps(key), less set-up
+        if isinstance(value, list) and value:  # an empty list is left to json.dumps
+            value = (len(value), [(i, value[i]) for i in compress(range(len(value)), value)])
+        if type(value) is int:
+            pieces.append(str(value))  # as json.dumps prints it, without its per-call set-up
+        elif isinstance(value, tuple):
+            pieces += _int_list(*value, "[\n    ", ",\n    ", "\n  ]")
         else:
-            text = json.dumps(value)
-        items.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}"
+            pieces.append(json.dumps(value))
+        pieces.append(",")
+    pieces[-1] = "\n}"
+    return "".join(pieces)
 
 
 def _bound_payload(n: int, c1_zero: bool, with_witness: bool) -> dict:
@@ -234,12 +235,10 @@ def _bound_payload(n: int, c1_zero: bool, with_witness: bool) -> dict:
         "l": l,
     }
     if with_witness:
-        counts = list(witness_full_profile(n).counts)
         scale = value // base.value
-        if scale != 1:
-            counts = list(map(scale.__mul__, counts))
-        payload["witness"] = counts
-        payload["witness_total"] = sum(counts)
+        entries = [(i, scale * count) for i, count in _sparse_witness(n)]
+        payload["witness"] = (n + 1, entries)
+        payload["witness_total"] = sum(count for _, count in entries)
     return payload
 
 
@@ -262,7 +261,7 @@ def bound(n: int, c1_zero: bool, with_witness: bool, fmt: str) -> None:
     click.echo(f"r = {payload['r']}")
     click.echo(f"l = {payload['l']}")
     if with_witness:
-        click.echo(f"witness = {payload['witness']}")
+        click.echo(f"witness = {''.join(_int_list(*payload['witness'], '[', ', ', ']'))}")
         click.echo(f"witness total = {payload['witness_total']}")
 
 
@@ -346,24 +345,15 @@ def chern(profile_path: str) -> None:
 def witness(n: int, fmt: str) -> None:
     """A profile attaining the minimal fixed-point count for half-dimension N."""
     _require_half_dimension(n)
-    profile = witness_full_profile(n)
-    value = chern_c1cn1(profile)
+    entries = _sparse_witness(n)
+    total, value = sum(count for _, count in entries), _chern_sum(n, entries)
     if fmt == "json":
-        click.echo(
-            _render_json(
-                {
-                    "n": n,
-                    "dim": 2 * n,
-                    "counts": list(profile.counts),
-                    "total": profile.total(),
-                    "c1cn1": value,
-                }
-            )
-        )
+        payload = {"n": n, "dim": 2 * n, "counts": (n + 1, entries), "total": total, "c1cn1": value}
+        click.echo(_render_json(payload))
         return
     click.echo(f"n = {n} (dim {2 * n})")
-    click.echo(f"profile = {list(profile.counts)}")
-    click.echo(f"total = {profile.total()}")
+    click.echo(f"profile = {''.join(_int_list(n + 1, entries, '[', ', ', ']'))}")
+    click.echo(f"total = {total}")
     click.echo(f"c1*c(n-1)[M] = {value}")
 
 

@@ -13,11 +13,11 @@ Two routes compute the same minima as the closed-form case analysis:
   the part count and the residue of W that the constraint itself forces,
   so no number theory enters and no feasible profile is skipped.
 
-Both return witness profiles that can be re-verified through the Chern
-formula (the expanded witness always has c1*c(n-1) = 0).  The l-search
-keeps its witness sparse, as generators and a middle count; only
-minimize_even / minimize_odd build the dense profile, so `verify`'s sweep,
-which reads the minimum and l, is linear in its range.
+Both return witness profiles with c1*c(n-1) = 0 once expanded.  The
+l-search keeps its witness sparse (parts and a middle count), so `verify`'s
+sweep, which reads the minimum and l, is linear in its range, and the witness
+commands take `_sparse_witness`, the few nonzero (i, N_i) of the full profile.
+Only minimize_even / minimize_odd and witness_full_profile build dense ones.
 
 When only the set of objectives is wanted, as in `verify`, it is decided
 without listing profiles: one reachability bitset per part count j holds
@@ -34,10 +34,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import groupby, islice
 from typing import NamedTuple
 
-from .chern import FixedPointProfile, Parity, ReducedProfile, expand
+from .chern import FixedPointProfile, Parity, ProfileError, ReducedProfile
 from .numtheory import DecompositionKind, _bounded_min_count, _polygonal_parts, _reach_levels
 
 __all__ = [
@@ -268,10 +268,27 @@ def enumerate_feasible(
     ]
 
 
-def witness_full_profile(n: int) -> FixedPointProfile:
-    """A symmetric full profile attaining the minimal fixed-point count,
-    with c1*c(n-1) = 0 by construction."""
+def _sparse_witness(n: int) -> list[tuple[int, int]]:
+    """The nonzero (i, N_i), i increasing, of a minimal symmetric profile of n,
+    read off the l-search in O(parts): part k counts at m-k and n-(m-k), the
+    middle count at m (and m+1 for odd n).  Checked as the dense profile is:
+    counts > 0 at strictly increasing, mirrored indices in 0..n."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    solve = minimize_even if n % 2 == 0 else minimize_odd
-    return expand(solve(n // 2).witness)
+    m, solution = n // 2, _l_search(n // 2, _parity(n))
+    low = [(m - k, len(list(run))) for k, run in groupby(solution.parts)]
+    entries = low + [(i, solution.middle) for i in range(m, n - m + 1) if solution.middle]
+    entries += [(n - i, count) for i, count in reversed(low)]
+    if (min(count for _, count in entries) < 1 or entries != [(n - i, c) for i, c in entries[::-1]]
+            or not all(0 <= i < j for (i, _), (j, _) in zip(entries, entries[1:]))):
+        raise ProfileError(f"witness entries of n = {n} are not a symmetric profile: {entries}")
+    return entries
+
+
+def witness_full_profile(n: int) -> FixedPointProfile:
+    """A minimal symmetric full profile of n, with c1*c(n-1) = 0: the dense,
+    validated view of `_sparse_witness(n)`."""
+    counts = [0] * (n + 1)
+    for i, count in _sparse_witness(n):
+        counts[i] = count
+    return FixedPointProfile(n, tuple(counts))

@@ -7,9 +7,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fpbounds.bounds import closed_form_bound, divisibility_modulus, min_fixed_points
-from fpbounds.cli import _render_json, cli
+from fpbounds.cli import _bound_payload, _int_list, _render_json, cli
 from fpbounds.chern import Parity
-from fpbounds.minimizer import _l_search, _lattice_objectives
+from fpbounds.minimizer import _l_search, _lattice_objectives, witness_full_profile
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -381,3 +381,56 @@ def test_json_output_is_stdlib_indent_2(runner, args):
         res = runner.invoke(cli, [*args, str(n), "--format", "json"])
         assert res.exit_code == 0
         assert res.output == json.dumps(json.loads(res.output), indent=2) + "\n", n
+
+
+def _entries(dense):
+    return [(i, c) for i, c in enumerate(dense) if c]
+
+
+@pytest.mark.parametrize(
+    "dense",
+    [[5, 0, 0, 0], [0, 0, 0, 5], [0, 3, 4, 0, 0], [7], [0], [1, 2, 3], [0, 10**20, 0, -4, 0]],
+    ids=["first", "last", "adjacent", "length-1", "length-1-zero", "all-nonzero", "big-negative"],
+)
+def test_sparse_list_renders_as_dense(dense):
+    sparse = (len(dense), _entries(dense))
+    assert _render_json({"n": 1, "counts": sparse}) == json.dumps({"n": 1, "counts": dense}, indent=2)
+    assert "".join(_int_list(*sparse, "[", ", ", "]")) == str(dense)
+
+
+@given(sparse_int_lists().filter(bool))
+def test_sparse_list_renders_as_dense_property(dense):
+    sparse = (len(dense), _entries(dense))
+    assert _render_json({"counts": sparse, "total": 1}) == json.dumps(
+        {"counts": dense, "total": 1}, indent=2
+    )
+    assert "".join(_int_list(*sparse, "[", ", ", "]")) == str(dense)
+
+
+@pytest.mark.parametrize("n", [2, 10, 1010])
+def test_c1_zero_scaled_witness_renders_as_dense(n):
+    payload = _bound_payload(n, True, True)
+    scale = payload["value"] // closed_form_bound(n).value
+    assert scale > 1
+    dense = [scale * c for c in witness_full_profile(n).counts]
+    assert payload["witness"] == (len(dense), _entries(dense))
+    expected = dict(payload, witness=dense)
+    assert _render_json(payload) == json.dumps(expected, indent=2)
+    assert "".join(_int_list(*payload["witness"], "[", ", ", "]")) == str(dense)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["witness"], ["bound", "--witness"], ["bound", "--c1-zero", "--witness"]],
+    ids=["witness", "bound-witness", "bound-c1-zero-witness"],
+)
+def test_text_output_is_str_of_the_dense_list(runner, args):
+    label = "profile" if args[0] == "witness" else "witness"
+    for n in [*range(2, 80), 1008, 10001, 123457]:
+        dense = list(witness_full_profile(n).counts)
+        if "--c1-zero" in args:
+            base = closed_form_bound(n)
+            dense = [base.value_for(True) // base.value * c for c in dense]
+        res = runner.invoke(cli, [*args, str(n)])
+        assert res.exit_code == 0
+        assert f"{label} = {dense}" in res.output.splitlines(), n

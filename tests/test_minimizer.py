@@ -3,16 +3,19 @@ import time
 
 import pytest
 
+from fpbounds import minimizer
 from fpbounds.bounds import closed_form_bound, divisibility_modulus
-from fpbounds.chern import Parity, chern_c1cn1, expand, f1, f2, g1, g2
+from fpbounds.chern import Parity, ProfileError, _chern_sum, chern_c1cn1, expand, f1, f2, g1, g2
 from fpbounds.minimizer import (
     BoxTooLarge,
     CapExceeded,
     SolveMethod,
+    _LSolution,
     _bounded_min_count,
     _l_search,
     _lattice_objectives,
     _lattice_points,
+    _sparse_witness,
     enumerate_feasible,
     minimize_even,
     minimize_odd,
@@ -397,3 +400,49 @@ def test_sparse_l_search_matches_dense_outcome(parity):
         assert all(1 <= k <= m for k in solution.parts)
         assert sum(kind.part_value(k) for k in solution.parts) == solution.l * d // r
         assert solution.middle == 12 * solution.l // r - charge * len(solution.parts) >= 0
+
+
+@pytest.mark.parametrize(
+    "ns", [range(2, 1001), range(1001, 2001), range(2001, 3001), [10001, 123457, 600001]],
+    ids=["2-1000", "1001-2000", "2001-3000", "large"],
+)
+def test_sparse_witness_matches_dense(ns):
+    for n in ns:
+        entries = _sparse_witness(n)
+        dense = [0] * (n + 1)
+        for i, count in entries:
+            dense[i] = count
+        # witness_full_profile is built from the entries, so also compare
+        # with the dense route: the expanded minimize_even / minimize_odd witness.
+        full = witness_full_profile(n)
+        assert tuple(dense) == full.counts, n
+        assert full == expand((minimize_even if n % 2 == 0 else minimize_odd)(n // 2).witness), n
+        indices = [i for i, _ in entries]
+        assert indices == sorted(set(indices)) and all(c > 0 for _, c in entries), n
+        assert entries == [(n - i, c) for i, c in reversed(entries)], n
+        assert _chern_sum(n, entries) == 0 == chern_c1cn1(full), n
+        assert sum(c for _, c in entries) == closed_form_bound(n).value, n
+        assert len(entries) <= (2 * 7 + 1 if n % 2 == 0 else 2 * 13 + 2), n
+
+
+def test_sparse_witness_rejects_small_n():
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        _sparse_witness(1)
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        witness_full_profile(1)
+
+
+@pytest.mark.parametrize(
+    "parts,middle",
+    [([6], 2), ([0], 2), ([1, 3], 2), ([2], -1), ([2], 0)],
+    ids=["part-past-m", "part-zero", "parts-increasing", "negative-middle", "ok-zero-middle"],
+)
+def test_sparse_witness_checks_the_solution(monkeypatch, parts, middle):
+    """n = 10, m = 5: a part k must lie in 1..m, the parts must not
+    increase, and the middle count must not be negative."""
+    monkeypatch.setattr(minimizer, "_l_search", lambda m, parity: _LSolution(1, 4, parts, middle))
+    if middle == 0:
+        assert _sparse_witness(10) == [(3, 1), (7, 1)]
+    else:
+        with pytest.raises(ProfileError, match="not a symmetric profile"):
+            _sparse_witness(10)
