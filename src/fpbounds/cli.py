@@ -19,7 +19,6 @@ from .bounds import (
     closed_form_bound,
     divisibility_modulus,
     divisibility_refined,
-    min_fixed_points,
 )
 from .chern import (
     Parity,
@@ -114,8 +113,9 @@ def render_table_md(rows: list[TableRow]) -> str:
     return text
 
 
-# Published case examples used by `verify` as golden data: n -> (m, r, value, branch).
-_EVEN_GOLDEN = {
+# Published case examples used by `verify` as golden data: n -> (m, r, value, branch),
+# the even table first.
+_CASE_GOLDEN = {
     26: (13, 1, 12, "even/r=1"),
     20: (10, 2, 6, "even/r=2/not-28-mod-32"),
     28: (14, 2, 12, "even/r=2/28-mod-32"),
@@ -133,9 +133,6 @@ _EVEN_GOLDEN = {
     24: (12, 12, 4, "even/r=12/Euler"),
     144: (72, 12, 6, "even/r=12/legendre-ok"),
     1008: (504, 12, 7, "even/r=12/legendre-fails"),
-}
-
-_ODD_GOLDEN = {
     39: (19, 6, 4, "odd/r=6/Euler"),
     63: (31, 6, 8, "odd/r=6/non-Euler"),
     75: (37, 12, 2, "odd/r=12/triangular"),
@@ -162,8 +159,7 @@ _SUMMARY_GOLDEN = {
 }
 
 _ALL_BRANCHES = sorted(
-    {b for _, _, _, b in _EVEN_GOLDEN.values()}
-    | {b for _, _, _, b in _ODD_GOLDEN.values()}
+    {b for _, _, _, b in _CASE_GOLDEN.values()}
     | {"odd/m=1", "odd/r=1", "odd/r=2", "odd/r=3", "odd/r=4"}
 )
 
@@ -359,11 +355,13 @@ def witness(n: int, fmt: str) -> None:
 
 _LATTICE_CAP = 48
 
+_Check = tuple[str, str, list[str]]  # ok line, failure label, mismatches (none when it passes)
 
-def _verify_checks(max_m: int, lattice_max_n: int) -> tuple[list[str], list[str], set[str]]:
-    """Run all cross-checks; returns (passed, failures, branches seen)."""
-    passed: list[str] = []
-    failures: list[str] = []
+
+def _verify_checks(max_m: int, lattice_max_n: int) -> tuple[list[_Check], set[str]]:
+    """Run all cross-checks; returns every check, in report order, and the
+    branches seen."""
+    checks: list[_Check] = []
     seen: set[str] = set()
 
     for label, parity, first, l_max in (
@@ -380,58 +378,48 @@ def _verify_checks(max_m: int, lattice_max_n: int) -> tuple[list[str], list[str]
                 mismatch.append(
                     f"n={n}: closed-form={result.value}, l-search={solved.minimum} (l={solved.l})"
                 )
-        if mismatch:
-            failures.append(f"closed form vs l-search ({label}): {'; '.join(mismatch[:5])}")
-        else:
-            passed.append(f"closed form vs l-search agrees for {label} n = {first}..{last}")
+        checks.append((f"closed form vs l-search agrees for {label} n = {first}..{last}",
+                       f"closed form vs l-search ({label})", mismatch))
 
-    lattice_bad = []
+    mismatch = []
     for n in range(2, lattice_max_n + 1):
         objectives = _lattice_objectives(n, _LATTICE_CAP)
         expected = closed_form_bound(n).value
         if not objectives or objectives[0] != expected:
             got = objectives[0] if objectives else None
-            lattice_bad.append(f"n={n}: closed-form={expected}, lattice={got}")
+            mismatch.append(f"n={n}: closed-form={expected}, lattice={got}")
             continue
         modulus = divisibility_modulus(n)
         bad = [objective for objective in objectives if objective % modulus]
         if bad:
-            lattice_bad.append(f"n={n}: objectives {bad[:3]} not divisible by {modulus}")
+            mismatch.append(f"n={n}: objectives {bad[:3]} not divisible by {modulus}")
+    checks.append((f"lattice enumeration (cap {_LATTICE_CAP}) matches closed form and the "
+                   f"divisibility rule for n = 2..{lattice_max_n}",
+                   "lattice enumeration", mismatch))
 
-    if lattice_bad:
-        failures.append(f"lattice enumeration: {'; '.join(lattice_bad[:5])}")
-    else:
-        passed.append(
-            f"lattice enumeration (cap {_LATTICE_CAP}) matches closed form and the "
-            f"divisibility rule for n = 2..{lattice_max_n}"
-        )
-
-    for label, golden in (("even", _EVEN_GOLDEN), ("odd", _ODD_GOLDEN)):
-        bad = []
+    for label in ("even", "odd"):
+        golden = {n: row for n, row in _CASE_GOLDEN.items() if row[3].startswith(f"{label}/")}
+        mismatch = []
         for n, (m, r, value, branch) in golden.items():
             res = closed_form_bound(n)
             if (res.m, res.r, res.value, res.branch) != (m, r, value, branch):
-                bad.append(
+                mismatch.append(
                     f"n={n}: expected ({m},{r},{value},{branch}), "
                     f"got ({res.m},{res.r},{res.value},{res.branch})"
                 )
-        if bad:
-            failures.append(f"{label} case table: {'; '.join(bad[:5])}")
-        else:
-            passed.append(f"{label} case table reproduced ({len(golden)} rows)")
+        checks.append((f"{label} case table reproduced ({len(golden)} rows)",
+                       f"{label} case table", mismatch))
 
-    bad = []
-    for dim, (low, mod, kos, ham) in _SUMMARY_GOLDEN.items():
-        n = dim // 2
-        got = (min_fixed_points(n), divisibility_modulus(n), n // 2 + 1, n + 1)
-        if got != (low, mod, kos, ham):
-            bad.append(f"dim={dim}: expected {(low, mod, kos, ham)}, got {got}")
-    if bad:
-        failures.append(f"summary table dims 4..30: {'; '.join(bad[:5])}")
-    else:
-        passed.append("summary table reproduced for dims 4..30")
+    # The rows that `table` prints, so `verify` checks what users read.
+    mismatch = []
+    for row, expected in zip(summary_rows(list(_SUMMARY_GOLDEN)), _SUMMARY_GOLDEN.values()):
+        low, second, _ = row.possible_values
+        got = (low, second - low, row.kosniowski, row.hamiltonian)
+        if got != expected:
+            mismatch.append(f"dim={row.dim}: expected {expected}, got {got}")
+    checks.append(("summary table reproduced for dims 4..30", "summary table dims 4..30", mismatch))
 
-    return passed, failures, seen
+    return checks, seen
 
 
 @cli.command()
@@ -444,11 +432,10 @@ def verify(ctx: click.Context, max_m: int, lattice_max_n: int) -> None:
         raise click.UsageError(f"--max-m must be >= 1, got {max_m}")
     if lattice_max_n < 2:
         raise click.UsageError(f"--lattice-max-n must be >= 2, got {lattice_max_n}")
-    passed, failures, seen = _verify_checks(max_m, lattice_max_n)
-    for line in passed:
-        click.echo(f"ok: {line}")
-    for line in failures:
-        click.echo(f"FAIL: {line}")
+    checks, seen = _verify_checks(max_m, lattice_max_n)
+    failures = [f"FAIL: {label}: {'; '.join(bad[:5])}" for _, label, bad in checks if bad]
+    for line in [f"ok: {ok}" for ok, _, bad in checks if not bad] + failures:
+        click.echo(line)
     hit = [b for b in _ALL_BRANCHES if b in seen]
     click.echo(f"branch coverage: {len(hit)}/{len(_ALL_BRANCHES)} cases exercised")
     missing = [b for b in _ALL_BRANCHES if b not in seen]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 
@@ -342,6 +343,86 @@ def test_verify_reports_lsearch_failure_even(runner, monkeypatch):
         runner, monkeypatch, Parity.EVEN, 10,
         "FAIL: closed form vs l-search (even): n=20: closed-form=6, l-search=12 (l=1)",
     )
+
+
+def test_verify_default_golden_output(runner):
+    # The defaults (--max-m 200 --lattice-max-n 30) are the only golden report
+    # with the missing-branches and warning lines.
+    res = runner.invoke(cli, ["verify"])
+    assert res.exit_code == 0
+    assert res.output == (GOLDEN / "verify_default.txt").read_text()
+
+
+def _branch_x_at_1008_and_99(n):
+    res = closed_form_bound(n)
+    return dataclasses.replace(res, branch="x") if n in (1008, 99) else res
+
+
+def _modulus_5_at_5(n):
+    return 5 if n == 5 else divisibility_modulus(n)
+
+
+# Neither n = 1008 nor n = 99 is swept at --max-m 30, and the lattice check stops
+# below n = 5 in the summary case, so each fake reaches only the table it targets.
+@pytest.mark.parametrize(
+    "name,fake,lattice_max_n,expected",
+    [
+        (
+            "closed_form_bound", _branch_x_at_1008_and_99, "20",
+            [
+                "FAIL: even case table: n=1008: expected (504,12,7,even/r=12/legendre-fails), "
+                "got (504,12,7,x)",
+                "FAIL: odd case table: n=99: expected (49,12,6,odd/r=12/non-Euler), "
+                "got (49,12,6,x)",
+            ],
+        ),
+        (
+            "divisibility_modulus", _modulus_5_at_5, "4",
+            [
+                "FAIL: summary table dims 4..30: dim=10: expected (24, 24, 3, 6), "
+                "got (24, 5, 3, 6)",
+            ],
+        ),
+    ],
+    ids=["case-tables", "summary"],
+)
+def test_verify_reports_table_failure(runner, monkeypatch, name, fake, lattice_max_n, expected):
+    monkeypatch.setattr(f"fpbounds.cli.{name}", fake)
+    res = runner.invoke(cli, ["verify", "--max-m", "30", "--lattice-max-n", lattice_max_n])
+    assert res.exit_code == 1
+    lines = res.output.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == expected
+    assert lines[-1] == "RESULT FAIL"
+
+
+def _minimum_dropped_from_14(n, value_cap):
+    objectives = _lattice_objectives(n, value_cap)
+    return objectives[1:] if n >= 14 else objectives
+
+
+def test_verify_reports_two_failures_truncated(runner, monkeypatch):
+    # Every ok line comes first, then one FAIL line per failing check with its
+    # first 5 mismatches (the lattice check has 7 here).
+    monkeypatch.setattr("fpbounds.cli._l_search", _minimum_doubled_at(Parity.EVEN, 10))
+    monkeypatch.setattr("fpbounds.cli._lattice_objectives", _minimum_dropped_from_14)
+    res = runner.invoke(cli, ["verify", "--max-m", "30", "--lattice-max-n", "20"])
+    assert res.exit_code == 1
+    assert res.output.splitlines() == [
+        "ok: closed form vs l-search agrees for odd n = 3..61",
+        "ok: even case table reproduced (17 rows)",
+        "ok: odd case table reproduced (5 rows)",
+        "ok: summary table reproduced for dims 4..30",
+        "FAIL: closed form vs l-search (even): n=20: closed-form=6, l-search=12 (l=1)",
+        "FAIL: lattice enumeration: n=14: closed-form=12, lattice=24; "
+        "n=15: closed-form=4, lattice=8; n=16: closed-form=6, lattice=9; "
+        "n=17: closed-form=24, lattice=48; n=18: closed-form=8, lattice=12",
+        "branch coverage: 20/27 cases exercised",
+        "missing branches: even/r=12/legendre-fails, even/r=12/legendre-ok, "
+        "even/r=12/n-2-square, even/r=4/legendre-fails, even/r=6/28-mod-32, "
+        "odd/r=12/non-Euler, odd/r=6/non-Euler",
+        "warning: full even-case coverage needs --max-m >= 504",
+        "RESULT FAIL",
+    ]
 
 
 @st.composite
