@@ -59,9 +59,7 @@ class BoundResult:
     def value_for(self, c1_zero: bool) -> int:
         """The lower bound, raised to at least 24 when c1 = 0 and the
         refinement applies (see c1_zero_refinement_applies)."""
-        if c1_zero and c1_zero_refinement_applies(self.n):
-            return max(self.value, 24)
-        return self.value
+        return _c1_zero_value(self.n, self.value) if c1_zero else self.value
 
 
 @dataclass(frozen=True)
@@ -129,12 +127,8 @@ def _odd_case(n: int, r: int) -> tuple[int, str]:
     return 6, "non-Euler"
 
 
-def closed_form_bound(n: int) -> BoundResult:
-    """Evaluate the minimal fixed-point count B(n) by case analysis.
-
-    Even n can give {2, 3, 4, 6, 7, 8, 9, 12}; odd n can give
-    {2, 4, 6, 8, 12, 24}.
-    """
+def _case(n: int) -> tuple[int, int, str]:
+    """r, the bound and the sub-case label ("" when r alone decides) for n."""
     if n < 2:
         raise UnsupportedHalfDimension(
             f"the bound is defined for n >= 2 (dimension >= 4), got n = {n}"
@@ -142,18 +136,25 @@ def closed_form_bound(n: int) -> BoundResult:
     m = n // 2
     if n % 2 == 0:
         r = math.gcd(m, 12)
-        value, case = _even_case(n, r)
-        branch = f"even/r={r}" + (f"/{case}" if case else "")
-        l = value * r // 12
-    elif m == 1:
+        return (r, *_even_case(n, r))
+    if m == 1:
         # n = 3: the constraint forces N_0 = 0 and any N_1 >= 1 is feasible.
-        r, value, branch, l = 12, 2, "odd/m=1", 1
-    else:
-        r = math.gcd(m - 1, 12)
-        value, case = _odd_case(n, r)
-        branch = f"odd/r={r}" + (f"/{case}" if case else "")
-        l = value * r // 24
-    return BoundResult(n=n, m=m, r=r, value=value, branch=branch, l=l)
+        return 12, 2, ""
+    r = math.gcd(m - 1, 12)
+    return (r, *_odd_case(n, r))
+
+
+def closed_form_bound(n: int) -> BoundResult:
+    """Evaluate the minimal fixed-point count B(n) by case analysis.
+
+    Even n can give {2, 3, 4, 6, 7, 8, 9, 12}; odd n can give
+    {2, 4, 6, 8, 12, 24}.
+    """
+    r, value, case = _case(n)
+    head = "odd/m=1" if n == 3 else f"{'odd' if n % 2 else 'even'}/r={r}"
+    branch = f"{head}/{case}" if case else head
+    l = value * r // (24 if n % 2 else 12)
+    return BoundResult(n=n, m=n // 2, r=r, value=value, branch=branch, l=l)
 
 
 def divisibility_modulus(n: int) -> int:
@@ -210,6 +211,11 @@ def c1_zero_refinement_applies(n: int) -> bool:
     """True when c1 = 0 pushes the lower bound up to 24: n = 2 mod 8 and
     n not divisible by 3."""
     return n % 8 == 2 and n % 3 != 0
+
+
+def _c1_zero_value(n: int, value: int) -> int:
+    """n's lower bound `value` when c1 = 0: at least 24 where the refinement applies."""
+    return max(value, 24) if c1_zero_refinement_applies(n) else value
 
 
 def min_fixed_points(n: int, c1_zero: bool = False) -> int:

@@ -8,13 +8,15 @@ All output is deterministic; no environment variables are consulted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import compress
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import click
 
 from .bounds import (
+    _c1_zero_value,
+    _case,
     c1_zero_refinement_applies,
     closed_form_bound,
     divisibility_modulus,
@@ -33,8 +35,7 @@ from .minimizer import _l_search, _lattice_objectives, _sparse_witness
 __all__ = ["main", "cli", "TableRow", "summary_rows"]
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One row of the summary table: first three possible fixed-point
     counts for the dimension, the two comparison bounds, and (when the
     c1 = 0 refinement bites) the alternate possible counts."""
@@ -49,48 +50,40 @@ class TableRow:
 def summary_rows(dims: list[int]) -> list[TableRow]:
     rows = []
     for dim in dims:
+        if dim % 2:
+            raise ValueError(f"dimensions must be even, got {dim}")
         n = dim // 2
-        base = closed_form_bound(n)
-        low = base.value
+        low = _case(n)[1]
         mod = divisibility_modulus(n)
         variant = None
         if c1_zero_refinement_applies(n):
-            vlow = base.value_for(c1_zero=True)
+            vlow = _c1_zero_value(n, low)
             vmod = divisibility_refined(n, c1_zero=True).modulus_refined
             variant = (vlow, vlow + vmod, vlow + 2 * vmod)
-        rows.append(
-            TableRow(
-                dim=dim,
-                possible_values=(low, low + mod, low + 2 * mod),
-                kosniowski=n // 2 + 1,
-                hamiltonian=n + 1,
-                c1_zero_variant=variant,
-            )
-        )
+        rows.append(TableRow(dim, (low, low + mod, low + 2 * mod), n // 2 + 1, n + 1, variant))
     return rows
 
 
 def render_table_csv(rows: list[TableRow]) -> str:
     lines = ["dim,value1,value2,value3,kosniowski,hamiltonian,c1_zero_value1,c1_zero_value2,c1_zero_value3"]
-    for row in rows:
-        cells = [row.dim, *row.possible_values, row.kosniowski, row.hamiltonian]
-        cells += list(row.c1_zero_variant) if row.c1_zero_variant else ["", "", ""]
-        lines.append(",".join(str(c) for c in cells))
+    for dim, (v1, v2, v3), kosniowski, hamiltonian, variant in rows:
+        c1_zero = f"{variant[0]},{variant[1]},{variant[2]}" if variant else ",,"
+        lines.append(f"{dim},{v1},{v2},{v3},{kosniowski},{hamiltonian},{c1_zero}")
     return "\n".join(lines) + "\n"
 
 
 def render_table_json(rows: list[TableRow]) -> str:
-    payload = [
-        {
-            "dim": row.dim,
-            "possible_values": list(row.possible_values),
-            "kosniowski": row.kosniowski,
-            "hamiltonian": row.hamiltonian,
-            "c1_zero_variant": list(row.c1_zero_variant) if row.c1_zero_variant else None,
-        }
-        for row in rows
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+    """Exactly json.dumps(rows as dicts, indent=2) + "\n", from one f-string per row."""
+    items = []
+    for dim, (v1, v2, v3), kosniowski, hamiltonian, variant in rows:
+        c1_zero = (f"[\n      {variant[0]},\n      {variant[1]},\n      {variant[2]}\n    ]"
+                   if variant else "null")
+        items.append(
+            f'  {{\n    "dim": {dim},\n    "possible_values": [\n      {v1},\n      {v2},'
+            f'\n      {v3}\n    ],\n    "kosniowski": {kosniowski},\n    "hamiltonian": {hamiltonian},'
+            f'\n    "c1_zero_variant": {c1_zero}\n  }}'
+        )
+    return "[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n"
 
 
 def render_table_md(rows: list[TableRow]) -> str:

@@ -7,8 +7,21 @@ from click.testing import CliRunner
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fpbounds.bounds import closed_form_bound, divisibility_modulus, min_fixed_points
-from fpbounds.cli import _bound_payload, _int_list, _render_json, cli
+from fpbounds.bounds import (
+    UnsupportedHalfDimension,
+    closed_form_bound,
+    divisibility_modulus,
+    min_fixed_points,
+)
+from fpbounds.cli import (
+    _bound_payload,
+    _int_list,
+    _render_json,
+    cli,
+    render_table_csv,
+    render_table_json,
+    summary_rows,
+)
 from fpbounds.chern import Parity
 from fpbounds.minimizer import _l_search, _lattice_objectives, witness_full_profile
 
@@ -141,6 +154,86 @@ def test_table_single_rows(runner):
 def test_table_bad_range_exits_2(runner, dims):
     res = runner.invoke(cli, ["table", "--dims", dims])
     assert res.exit_code == 2
+
+
+# Windows of dims for the renderer pins: c1 = 0 rows (dims 4, 20, 36, ...), single
+# rows with and without a variant, dims past 10^7, and no rows at all.
+_TABLE_WINDOWS = {
+    "4..40": list(range(4, 41, 2)),
+    "single-c1-zero": [4],
+    "single-plain": [24],
+    "998..1200": list(range(998, 1201, 2)),
+    "far": list(range(20000000, 20000402, 2)),
+    "empty": [],
+}
+
+
+def _json_reference(rows):
+    payload = [
+        {
+            "dim": row.dim,
+            "possible_values": list(row.possible_values),
+            "kosniowski": row.kosniowski,
+            "hamiltonian": row.hamiltonian,
+            "c1_zero_variant": list(row.c1_zero_variant) if row.c1_zero_variant else None,
+        }
+        for row in rows
+    ]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _csv_reference(rows):
+    """The cell-join form the CSV renderer must keep printing."""
+    lines = ["dim,value1,value2,value3,kosniowski,hamiltonian,c1_zero_value1,c1_zero_value2,c1_zero_value3"]
+    for row in rows:
+        cells = [row.dim, *row.possible_values, row.kosniowski, row.hamiltonian]
+        cells += list(row.c1_zero_variant) if row.c1_zero_variant else ["", "", ""]
+        lines.append(",".join(str(c) for c in cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("dims", list(_TABLE_WINDOWS.values()), ids=list(_TABLE_WINDOWS))
+def test_table_renderers_match_references(dims):
+    rows = summary_rows(dims)
+    assert render_table_json(rows) == _json_reference(rows)
+    assert render_table_csv(rows) == _csv_reference(rows)
+
+
+@given(st.integers(2, 10**12), st.integers(0, 12))
+def test_table_renderers_match_references_property(start, count):
+    rows = summary_rows(list(range(2 * start, 2 * (start + count), 2)))
+    assert render_table_json(rows) == _json_reference(rows)
+    assert render_table_csv(rows) == _csv_reference(rows)
+
+
+def test_table_formats_mutually_consistent_far(runner):
+    outputs = {
+        fmt: runner.invoke(cli, ["table", "--dims", "20000000..20000600", "--format", fmt]).output
+        for fmt in ("csv", "json", "md")
+    }
+    csv_rows = _rows_from_csv(outputs["csv"])
+    assert csv_rows == _rows_from_json(outputs["json"]) == _rows_from_md(outputs["md"])
+    assert [row[0] for row in csv_rows] == list(range(20000000, 20000601, 2))
+    assert any(row[4] for row in csv_rows) and not all(row[4] for row in csv_rows)
+
+
+@pytest.mark.parametrize("dims,odd", [([9], 9), ([4, 6, 9, 10], 9), ([-3], -3), ([20000001], 20000001)])
+def test_summary_rows_rejects_odd_dims(dims, odd):
+    with pytest.raises(ValueError, match=f"dimensions must be even, got {odd}$"):
+        summary_rows(dims)
+
+
+@pytest.mark.parametrize("dim", [2, 0, -4])
+def test_summary_rows_rejects_dims_below_4(dim):
+    with pytest.raises(UnsupportedHalfDimension):
+        summary_rows([dim])
+
+
+def test_table_row_repr():
+    assert repr(summary_rows([4])[0]) == (
+        "TableRow(dim=4, possible_values=(12, 24, 36), kosniowski=2, hamiltonian=3, "
+        "c1_zero_variant=(24, 48, 72))"
+    )
 
 
 def _write_profile(tmp_path, payload):
