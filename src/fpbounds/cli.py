@@ -8,7 +8,6 @@ All output is deterministic; no environment variables are consulted.
 from __future__ import annotations
 
 import json
-from itertools import compress
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -187,13 +186,11 @@ def _int_list(length: int, entries: list[tuple[int, int]],
 
 def _render_json(payload: dict) -> str:
     """Exactly json.dumps(payload, indent=2), in one join, for a nonempty dict of
-    scalars, strings and int lists, dense or as (length, entries) for `_int_list`;
-    a dense list's entries are the ones that `compress` finds nonzero."""
+    scalars, strings and int lists given as (length, entries) for `_int_list`,
+    which print as the dense list."""
     pieces = ["{"]
     for key, value in payload.items():
         pieces += ("\n  ", encode_basestring_ascii(key), ": ")  # json.dumps(key), less set-up
-        if isinstance(value, list) and value:  # an empty list is left to json.dumps
-            value = (len(value), [(i, value[i]) for i in compress(range(len(value)), value)])
         if type(value) is int:
             pieces.append(str(value))  # as json.dumps prints it, without its per-call set-up
         elif isinstance(value, tuple):
@@ -263,19 +260,10 @@ def divisibility(n: int, c1_zero: bool, fmt: str) -> None:
     _require_half_dimension(n)
     res = divisibility_refined(n, c1_zero=c1_zero)
     if fmt == "json":
-        click.echo(
-            json.dumps(
-                {
-                    "n": n,
-                    "dim": 2 * n,
-                    "modulus_gcd": res.modulus_gcd,
-                    "modulus_hirzebruch": res.modulus_hirzebruch,
-                    "modulus_refined": res.modulus_refined,
-                    "c1_zero": res.c1_zero,
-                },
-                indent=2,
-            )
-        )
+        payload = {"n": n, "dim": 2 * n, "modulus_gcd": res.modulus_gcd,
+                   "modulus_hirzebruch": res.modulus_hirzebruch,
+                   "modulus_refined": res.modulus_refined, "c1_zero": res.c1_zero}
+        click.echo(_render_json(payload))
         return
     click.echo(f"n = {n} (dim {2 * n})")
     click.echo(f"gcd modulus = {res.modulus_gcd}")

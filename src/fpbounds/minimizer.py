@@ -53,7 +53,7 @@ __all__ = [
 
 
 class CapExceeded(RuntimeError):
-    """No multiplier l below the cap solved the representation problem.
+    """No multiplier l <= _L_CAP (24) solved the representation problem.
 
     The case analysis guarantees l <= 7 (even) and l <= 3 (odd), so this
     signals an implementation bug, never a data condition.
@@ -61,10 +61,11 @@ class CapExceeded(RuntimeError):
 
 
 class BoxTooLarge(ValueError):
-    """The enumeration box exceeds the configured volume guard."""
+    """The enumeration box has more than _BOX_LIMIT (10^8) points."""
 
 
 _BOX_LIMIT = 10**8
+_L_CAP = 24  # well past the l <= 7 (even) and l <= 3 (odd) that the case analysis proves
 
 
 class SolveMethod(Enum):
@@ -114,7 +115,7 @@ class _LSolution(NamedTuple):
     middle: int
 
 
-def _l_search(m: int, parity: Parity, l_cap: int = 24) -> _LSolution:
+def _l_search(m: int, parity: Parity) -> _LSolution:
     """Smallest l >= 1 such that l*d/r is a sum of parts w_k (1 <= k <= m)
     whose count leaves N_m = 12l/r - charge*count non-negative; the
     minimum is then scale*l/r.  The parts are found, as their existence is
@@ -124,7 +125,7 @@ def _l_search(m: int, parity: Parity, l_cap: int = 24) -> _LSolution:
     spec = _SPECS[parity]
     d = m - spec.shift
     r = math.gcd(d, 12)
-    for l in range(1, l_cap + 1):
+    for l in range(1, _L_CAP + 1):
         target = l * d // r
         count = _bounded_min_count(target, m, spec.kind)
         middle = 12 * l // r - spec.charge * count
@@ -132,12 +133,12 @@ def _l_search(m: int, parity: Parity, l_cap: int = 24) -> _LSolution:
             parts = _polygonal_parts(target, count, m, spec.kind, largest_first=False)
             assert parts is not None
             return _LSolution(l, spec.scale * l // r, parts, middle)
-    raise CapExceeded(f"no l <= {l_cap} works for m = {m} ({parity.value} case)")
+    raise CapExceeded(f"no l <= {_L_CAP} works for m = {m} ({parity.value} case)")
 
 
-def _minimize(m: int, parity: Parity, l_cap: int) -> MinimizationOutcome:
+def _minimize(m: int, parity: Parity) -> MinimizationOutcome:
     """The l-search's solution as a dense, validated witness profile."""
-    solution = _l_search(m, parity, l_cap)
+    solution = _l_search(m, parity)
     counts = [0] * (m + 1)
     for k in solution.parts:
         counts[m - k] += 1
@@ -149,46 +150,47 @@ def _minimize(m: int, parity: Parity, l_cap: int) -> MinimizationOutcome:
     )
 
 
-def minimize_even(m: int, l_cap: int = 24) -> MinimizationOutcome:
+def minimize_even(m: int) -> MinimizationOutcome:
     """Minimum of the fixed-point count over feasible profiles for n = 2m:
     the smallest l with l*m/r a sum of squares k^2 (1 <= k <= m) in at
     most 6l/r parts gives the minimum 12*l/r."""
-    return _minimize(m, Parity.EVEN, l_cap)
+    return _minimize(m, Parity.EVEN)
 
 
-def minimize_odd(m: int, l_cap: int = 24) -> MinimizationOutcome:
+def minimize_odd(m: int) -> MinimizationOutcome:
     """Minimum of the fixed-point count over feasible profiles for n = 2m+1:
     the smallest l with l*(m-1)/r a sum of triangular numbers T_k
     (1 <= k <= m) in at most 12l/r parts gives the minimum 24*l/r.  For
     m = 1 the target is 0 and the minimum is 2."""
-    return _minimize(m, Parity.ODD, l_cap)
+    return _minimize(m, Parity.ODD)
 
 
 def _parity(n: int) -> Parity:
     return Parity.EVEN if n % 2 == 0 else Parity.ODD
 
 
-def _lattice_points(
-    n: int, value_cap: int, box_limit: int = _BOX_LIMIT
-) -> list[tuple[int, tuple[int, ...]]]:
+def _lattice_points(n: int, value_cap: int) -> list[tuple[int, tuple[int, ...]]]:
     """Sorted (objective, counts) pairs of every feasible reduced profile of
     n with objective <= value_cap: a depth-first walk over N_0..N_{m-1}
     inside the box 0 <= N_{m-k} <= max_weighted // w_k, with two cuts that
     follow from G = 12W - d*h = 0 and the cap.  N_m = h - charge*parts >= 0
     with h <= 12*max_weighted/d bounds the parts of every branch; and N_{m-1}
     has weight w_1 = 1, so it steps only through totals W with 12W = 0 mod d.
-    Raises BoxTooLarge when the box has more than box_limit points.
+    Raises BoxTooLarge when the box has more than _BOX_LIMIT points, n = 3
+    included: its box is N_0 = 0 with 0 <= N_1 <= value_cap // 2.
     """
     m, spec = n // 2, _SPECS[_parity(n)]
     d = m - spec.shift
-    if d == 0:
-        # n = 3: G = 12W forces N_0 = 0, and any h = N_1 >= 1 is feasible.
-        return [(2 * h, (0, h)) for h in range(1, value_cap // 2 + 1)]
     # The objective is scale*h/12 with h = 12W/d, so W is at most this.
     max_weighted = d * value_cap // spec.scale
     volume = math.prod(max_weighted // spec.kind.part_value(k) + 1 for k in range(1, m + 1))
-    if volume > box_limit:
-        raise BoxTooLarge(f"enumeration box has {volume} points (limit {box_limit})")
+    if d == 0:
+        volume = value_cap // 2 + 1
+    if volume > _BOX_LIMIT:
+        raise BoxTooLarge(f"enumeration box has {volume} points (limit {_BOX_LIMIT})")
+    if d == 0:
+        # n = 3: G = 12W forces N_0 = 0, and any h = N_1 >= 1 is feasible.
+        return [(2 * h, (0, h)) for h in range(1, value_cap // 2 + 1)]
     max_parts = 12 * max_weighted // d // spec.charge
     step = d // math.gcd(d, 12)  # 12W = 0 mod d iff W = 0 mod step
     weights = [spec.kind.part_value(k) for k in range(m + 1)]
@@ -243,14 +245,12 @@ def _lattice_objectives(n: int, value_cap: int) -> list[int]:
     return found
 
 
-def enumerate_feasible(
-    n: int, value_cap: int, box_limit: int = _BOX_LIMIT
-) -> list[MinimizationOutcome]:
+def enumerate_feasible(n: int, value_cap: int) -> list[MinimizationOutcome]:
     """All feasible reduced profiles with objective <= value_cap, sorted by
     objective and then lexicographically by witness.  Complete: each such
     profile lies in the box that the walk in `_lattice_points` scans, and
     the walk cuts only branches that the constraint rules out.  Raises
-    BoxTooLarge when the box volume exceeds `box_limit`.
+    BoxTooLarge when the box has more than 10^8 points, n = 3 included.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -264,7 +264,7 @@ def enumerate_feasible(
             n=n, minimum=objective, l=objective * r // spec.scale,
             witness=ReducedProfile(m, counts, parity), method=SolveMethod.LATTICE_ENUM,
         )
-        for objective, counts in _lattice_points(n, value_cap, box_limit)
+        for objective, counts in _lattice_points(n, value_cap)
     ]
 
 

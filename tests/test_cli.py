@@ -406,8 +406,8 @@ def test_verify_reports_lattice_failure_past_n_53(runner, monkeypatch):
 def _minimum_doubled_at(parity, at_m):
     """A stand-in for the sparse l-search that `verify` calls, doubling the
     minimum for one m of one parity."""
-    def l_search(m, p, l_cap=24):
-        solution = _l_search(m, p, l_cap)
+    def l_search(m, p):
+        solution = _l_search(m, p)
         if (p, m) == (parity, at_m):
             return solution._replace(minimum=2 * solution.minimum)
         return solution
@@ -542,13 +542,17 @@ json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_si
 @example({"n": 5, "counts": [0, 0, 3, 0, 0], "total": 3})
 @example({"counts": [1, 0, 0, 10**6], "branch": "even/r=1"})
 def test_render_json_matches_stdlib(payload):
-    assert _render_json(payload) == json.dumps(payload, indent=2)
+    sparse = {k: (len(v), _entries(v)) if isinstance(v, list) and v else v
+              for k, v in payload.items()}
+    assert _render_json(sparse) == json.dumps(payload, indent=2)
 
 
 @pytest.mark.parametrize(
     "args",
-    [["witness"], ["bound", "--witness"], ["bound", "--c1-zero", "--witness"], ["bound"]],
-    ids=["witness", "bound-witness", "bound-c1-zero-witness", "bound"],
+    [["witness"], ["bound", "--witness"], ["bound", "--c1-zero", "--witness"], ["bound"],
+     ["divisibility"], ["divisibility", "--c1-zero"]],
+    ids=["witness", "bound-witness", "bound-c1-zero-witness", "bound",
+         "divisibility", "divisibility-c1-zero"],
 )
 def test_json_output_is_stdlib_indent_2(runner, args):
     for n in [*range(2, 80), 1008, 10001, 123457]:

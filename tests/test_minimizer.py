@@ -91,9 +91,10 @@ def test_minimize_rejects_bad_m():
         minimize_odd(0)
 
 
-def test_cap_exceeded_is_loud():
+def test_cap_exceeded_is_loud(monkeypatch):
+    monkeypatch.setattr(minimizer, "_L_CAP", 3)
     with pytest.raises(CapExceeded):
-        minimize_even(504, l_cap=3)
+        minimize_even(504)
 
 
 def test_oracle_agreement_small():
@@ -165,8 +166,16 @@ def test_bounded_min_count_builds_no_witness():
 
 
 def test_enumerate_box_guard():
+    # The box of (2, 10**10) has 833,333,334 points; (2, 10**9) passes the guard.
     with pytest.raises(BoxTooLarge):
-        enumerate_feasible(2, 10**9, box_limit=10**4)
+        enumerate_feasible(2, 10**10)
+
+
+def test_enumerate_box_guard_n3(monkeypatch):
+    # n = 3's box is N_0 = 0 with 0 <= N_1 <= value_cap // 2: 5001 points here.
+    monkeypatch.setattr(minimizer, "_BOX_LIMIT", 10**3)
+    with pytest.raises(BoxTooLarge):
+        enumerate_feasible(3, 10**4)
 
 
 def test_enumerate_rejects_bad_args():
@@ -312,10 +321,11 @@ def test_lattice_objectives_box_guard():
     assert str(walk.value) == "enumeration box has 133311360 points (limit 100000000)"
 
 
-def test_lattice_objectives_match_walk_past_the_guard():
+def test_lattice_objectives_match_walk_past_the_guard(monkeypatch):
+    monkeypatch.setattr(minimizer, "_BOX_LIMIT", math.inf)
     for n in range(54, 71):
         assert _lattice_objectives(n, 48) == sorted(
-            {o for o, _ in _lattice_points(n, 48, box_limit=math.inf)}
+            {o for o, _ in _lattice_points(n, 48)}
         ), n
 
 
