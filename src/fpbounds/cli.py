@@ -204,71 +204,64 @@ def _render_json(payload: dict) -> str:
 
 def _bound_payload(n: int, c1_zero: bool, with_witness: bool) -> dict:
     base = closed_form_bound(n)
-    value = base.value_for(c1_zero)
-    if value != base.value:
-        branch = "c1-zero/24"
-        l = value * base.r // 12
-    else:
-        branch = base.branch
-        l = base.l
-    payload = {
-        "n": n,
-        "dim": 2 * n,
-        "value": value,
-        "branch": branch,
-        "m": base.m,
-        "r": base.r,
-        "l": l,
-    }
+    scale = base.value_for(c1_zero) // base.value  # 2 where c1 = 0 raises 12 to 24
+    payload = {"n": n, "dim": 2 * n, "value": scale * base.value,
+               "branch": "c1-zero/24" if scale > 1 else base.branch,
+               "m": base.m, "r": base.r, "l": scale * base.l}
     if with_witness:
-        scale = value // base.value
         entries = [(i, scale * count) for i, count in _sparse_witness(n)]
         payload["witness"] = (n + 1, entries)
         payload["witness_total"] = sum(count for _, count in entries)
     return payload
 
 
+def _echo_payload(payload: dict, fmt: str, labels: dict[str, str]) -> None:
+    """Print `payload` as `_render_json` writes it, or as text: the header
+    `n = N (dim 2N)`, then one `label = value` line for each key of `labels`
+    that the payload has, in the payload's key order.  Int lists given as
+    (length, entries) print as the dense list, `[0, 1, 1, 0]`."""
+    if fmt == "json":
+        click.echo(_render_json(payload))
+        return
+    pieces = [f"n = {payload['n']} (dim {payload['dim']})"]
+    for key, value in payload.items():
+        if key in labels:
+            pieces += ("\n", labels[key], " = ")
+            if isinstance(value, tuple):
+                pieces += _int_list(*value, "[", ", ", "]")
+            else:
+                pieces.append(str(value))
+    click.echo("".join(pieces))
+
+
+_format_option = click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
+
+
 @cli.command()
 @click.argument("n", type=int)
 @click.option("--c1-zero", is_flag=True, help="Assume c1 = 0 in integer cohomology.")
 @click.option("--witness", "with_witness", is_flag=True, help="Print a profile attaining the bound.")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
+@_format_option
 def bound(n: int, c1_zero: bool, with_witness: bool, fmt: str) -> None:
     """Lower bound for the number of fixed points in half-dimension N."""
     _require_half_dimension(n)
-    payload = _bound_payload(n, c1_zero, with_witness)
-    if fmt == "json":
-        click.echo(_render_json(payload))
-        return
-    click.echo(f"n = {payload['n']} (dim {payload['dim']})")
-    click.echo(f"bound = {payload['value']}")
-    click.echo(f"branch = {payload['branch']}")
-    click.echo(f"m = {payload['m']}")
-    click.echo(f"r = {payload['r']}")
-    click.echo(f"l = {payload['l']}")
-    if with_witness:
-        click.echo(f"witness = {''.join(_int_list(*payload['witness'], '[', ', ', ']'))}")
-        click.echo(f"witness total = {payload['witness_total']}")
+    _echo_payload(_bound_payload(n, c1_zero, with_witness), fmt,
+                  {"value": "bound", "branch": "branch", "m": "m", "r": "r", "l": "l",
+                   "witness": "witness", "witness_total": "witness total"})
 
 
 @cli.command()
 @click.argument("n", type=int)
 @click.option("--c1-zero", is_flag=True, help="Assume c1 = 0 in integer cohomology.")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
+@_format_option
 def divisibility(n: int, c1_zero: bool, fmt: str) -> None:
     """Moduli dividing the fixed-point count in half-dimension N."""
     _require_half_dimension(n)
-    res = divisibility_refined(n, c1_zero=c1_zero)
-    if fmt == "json":
-        payload = {"n": n, "dim": 2 * n, "modulus_gcd": res.modulus_gcd,
-                   "modulus_hirzebruch": res.modulus_hirzebruch,
-                   "modulus_refined": res.modulus_refined, "c1_zero": res.c1_zero}
-        click.echo(_render_json(payload))
-        return
-    click.echo(f"n = {n} (dim {2 * n})")
-    click.echo(f"gcd modulus = {res.modulus_gcd}")
-    click.echo(f"hirzebruch modulus = {res.modulus_hirzebruch}")
-    click.echo(f"refined modulus = {res.modulus_refined}")
+    # The result's fields in order: n keeps its place before dim.
+    payload = {"n": n, "dim": 2 * n, **vars(divisibility_refined(n, c1_zero=c1_zero))}
+    _echo_payload(payload, fmt, {"modulus_gcd": "gcd modulus",
+                                 "modulus_hirzebruch": "hirzebruch modulus",
+                                 "modulus_refined": "refined modulus"})
 
 
 def _parse_dims(spec: str) -> list[int]:
@@ -301,7 +294,7 @@ def chern(profile_path: str) -> None:
     try:
         with open(profile_path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 and over-long ints are ValueErrors
         raise click.UsageError(f"profile is not valid JSON: {exc}")
     try:
         profile = parse_profile(data)
@@ -318,20 +311,14 @@ def chern(profile_path: str) -> None:
 
 @cli.command()
 @click.argument("n", type=int)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
+@_format_option
 def witness(n: int, fmt: str) -> None:
     """A profile attaining the minimal fixed-point count for half-dimension N."""
     _require_half_dimension(n)
     entries = _sparse_witness(n)
-    total, value = sum(count for _, count in entries), _chern_sum(n, entries)
-    if fmt == "json":
-        payload = {"n": n, "dim": 2 * n, "counts": (n + 1, entries), "total": total, "c1cn1": value}
-        click.echo(_render_json(payload))
-        return
-    click.echo(f"n = {n} (dim {2 * n})")
-    click.echo(f"profile = {''.join(_int_list(n + 1, entries, '[', ', ', ']'))}")
-    click.echo(f"total = {total}")
-    click.echo(f"c1*c(n-1)[M] = {value}")
+    payload = {"n": n, "dim": 2 * n, "counts": (n + 1, entries),
+               "total": sum(count for _, count in entries), "c1cn1": _chern_sum(n, entries)}
+    _echo_payload(payload, fmt, {"counts": "profile", "total": "total", "c1cn1": "c1*c(n-1)[M]"})
 
 
 _LATTICE_CAP = 48

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import pathlib
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -288,6 +289,16 @@ def test_chern_bad_json_exits_2(runner, tmp_path, payload):
     path.write_bytes(payload)
     res = runner.invoke(cli, ["chern", "--profile", str(path)])
     assert res.exit_code == 2
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no digit limit on int parsing")
+def test_chern_integer_past_digit_limit_exits_2(runner, tmp_path):
+    path = tmp_path / "profile.json"
+    path.write_bytes(b'{"n": 2, "counts": [1, ' + b"9" * 5000 + b", 1]}")
+    res = runner.invoke(cli, ["chern", "--profile", str(path)])
+    assert res.exit_code == 2
+    assert "profile is not valid JSON: " in res.output
 
 
 def test_witness_command(runner):
@@ -612,3 +623,50 @@ def test_text_output_is_str_of_the_dense_list(runner, args):
         res = runner.invoke(cli, [*args, str(n)])
         assert res.exit_code == 0
         assert f"{label} = {dense}" in res.output.splitlines(), n
+
+
+_TEXT_GOLDEN = {
+    command: output
+    for command, _, output in (
+        block.partition("\n")
+        for block in (GOLDEN / "single_n_text.txt").read_text().split("$ fpbounds ")[1:]
+    )
+}
+
+
+@pytest.mark.parametrize("command", list(_TEXT_GOLDEN))
+def test_single_n_text_golden(runner, command):
+    res = runner.invoke(cli, command.split())
+    assert res.exit_code == 0
+    assert res.output == _TEXT_GOLDEN[command]
+
+
+# The text label of each JSON key; `divisibility` prints no line for `c1_zero`.
+_TEXT_LABELS = {
+    "bound": {"value": "bound", "branch": "branch", "m": "m", "r": "r", "l": "l",
+              "witness": "witness", "witness_total": "witness total"},
+    "divisibility": {"modulus_gcd": "gcd modulus", "modulus_hirzebruch": "hirzebruch modulus",
+                     "modulus_refined": "refined modulus"},
+    "witness": {"counts": "profile", "total": "total", "c1cn1": "c1*c(n-1)[M]"},
+}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["bound"], ["bound", "--c1-zero"], ["bound", "--witness"], ["bound", "--c1-zero", "--witness"],
+     ["divisibility"], ["divisibility", "--c1-zero"], ["witness"]],
+    ids=["bound", "bound-c1-zero", "bound-witness", "bound-c1-zero-witness",
+         "divisibility", "divisibility-c1-zero", "witness"],
+)
+@given(n=st.integers(2, 3000))
+def test_text_lines_are_the_json_fields(args, n):
+    runner = CliRunner()
+    data = json.loads(runner.invoke(cli, [*args, str(n), "--format", "json"]).output)
+    text = runner.invoke(cli, [*args, str(n)])
+    assert text.exit_code == 0
+    labels = _TEXT_LABELS[args[0]]
+    unlabelled = ["n", "dim", "c1_zero"] if args[0] == "divisibility" else ["n", "dim"]
+    assert [key for key in data if key not in labels] == unlabelled
+    assert text.output.splitlines() == [f"n = {n} (dim {2 * n})"] + [
+        f"{labels[key]} = {value}" for key, value in data.items() if key in labels
+    ]
