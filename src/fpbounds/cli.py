@@ -164,6 +164,10 @@ def cli() -> None:
 def _require_half_dimension(n: int) -> None:
     if n < 2:
         raise click.UsageError(f"n must be >= 2 (dimension >= 4), got {n}")
+    try:
+        str(2 * n)  # the dimension, the largest number the output prints
+    except ValueError as exc:  # past Python's digit limit for int to str
+        raise click.UsageError(f"dimension 2n is too long to print: {exc}")
 
 
 def _int_list(length: int, entries: list[tuple[int, int]],

@@ -2,13 +2,13 @@
 and minimal representations as sums of polygonal parts.
 
 The fast paths are the classical criteria (Lagrange, Legendre, Euler,
-Gauss, Ewell); bounded breadth-first searches provide independent
-brute-force counterparts so every criterion can be cross-checked.
+Gauss, Ewell); Euler's and Ewell's stop trial division at the first prime
+= 3 mod 4 of odd exponent.  Bounded breadth-first searches cross-check them.
 This module alone decides how a target splits into polygonal parts: one
 rule gives the minimal count under a generator cap, and one bounded
-search writes the target as exactly that many parts, largest-first for
-min_squares / min_triangulars and lexicographically smallest for the
-l-search witness in `minimizer`.
+search writes exactly that many parts (largest-first for min_squares /
+min_triangulars, lexicographically smallest for the l-search witness in
+`minimizer`); the last two parts take one walk that tests each rest.
 All functions are pure and deterministic.
 """
 
@@ -315,21 +315,23 @@ def _free_of_odd_3mod4(f: Factorization) -> bool:
     return all(e % 2 == 0 for p, e in f.factors if p % 4 == 3)
 
 
-def _odd_3mod4(counts: dict[int, int]) -> bool:
-    """True iff some prime = 3 mod 4 in prime -> exponent counts has an odd
-    exponent."""
-    return any(e % 2 and p % 4 == 3 for p, e in counts.items())
-
-
 def _no_odd_3mod4_prime(n: int) -> bool:
     """True iff every prime factor of n >= 1 congruent to 3 mod 4 has even
-    exponent, factoring only as far as the answer needs."""
-    counts, rem = _trial_divide(n)
+    exponent; trial division stops at the first one of odd exponent."""
+    rem = n
+    for p in _TRIAL_PRIMES:
+        if p * p > rem:
+            break
+        if rem % p == 0:
+            e = 0
+            while rem % p == 0:
+                rem //= p
+                e += 1
+            if e % 2 and p % 4 == 3:
+                return False
     # An odd number whose primes = 3 mod 4 all have even exponents is
     # = 1 mod 4, so a cofactor = 3 mod 4 decides the answer unsplit.
-    if _odd_3mod4(counts) or rem % 4 == 3:
-        return False
-    return not _odd_3mod4(_split_cofactor(rem))
+    return rem % 4 != 3 and not any(e % 2 and p % 4 == 3 for p, e in _split_cofactor(rem).items())
 
 
 def two_squares_criterion(n: int) -> bool:
@@ -421,26 +423,34 @@ def _polygonal_parts(
     The largest part w_k lies in the window w_k <= target <= count * w_k.
     Only the end the walk starts from is computed (the top when
     largest_first, else the bottom), and the walk stops on leaving the
-    window, which is cheaper than bounding both ends up front.  The rest
-    is the same search one part shorter, with generators capped at k.  One
-    part is read off: w_k, k = max_index(target), if 1 <= k <= cap, w_k = target.
+    window, which is cheaper than bounding both ends up front.  It inlines
+    w_k = k(k + t) / 2^t and max_index(v) = (isqrt(8^t v + t) - t) / 2^t,
+    t = 1 for triangulars, 0 for squares.  Two parts take one walk: the
+    rest = target - w_k is w_j, j >= 1, iff x = 8^t rest + t is a square
+    r^2 with r > t, and j = (r - t) / 2^t <= k as rest <= w_k.  More parts
+    recurse one shorter with cap k; one part is the window w_k = target.
     """
     if count == 0:
         return [] if target == 0 else None
-    if count == 1:
-        k = kind.max_index(target)
-        return [k] if 1 <= k <= cap and kind.part_value(k) == target else None
+    t, s = (1, 3) if kind is DecompositionKind.TRIANGULARS else (0, 0)
     if largest_first:
-        ks = range(min(cap, kind.max_index(target)), 0, -1)
+        ks = range(min(cap, (math.isqrt((target << s) + t) - t) >> t), 0, -1)
     else:
-        ks = range(kind.max_index(max(target - 1, 0) // count) + 1, cap + 1)
+        low = (target - 1) // count if target else 0
+        ks = range(((math.isqrt((low << s) + t) - t) >> t) + 1, cap + 1)
     for k in ks:
-        v = kind.part_value(k)
+        v = k * (k + t) >> t
         if v > target or v * count < target:
             break
-        rest = _polygonal_parts(target - v, count - 1, k, kind, largest_first)
-        if rest is not None:
-            return [k] + rest
+        if count == 2:
+            x = ((target - v) << s) + t
+            r = math.isqrt(x)
+            if r > t and r * r == x:
+                return [k, (r - t) >> t]
+        else:
+            rest = _polygonal_parts(target - v, count - 1, k, kind, largest_first)
+            if rest is not None:
+                return [k] + rest
     return None
 
 

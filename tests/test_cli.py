@@ -301,6 +301,17 @@ def test_chern_integer_past_digit_limit_exits_2(runner, tmp_path):
     assert "profile is not valid JSON: " in res.output
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="this Python prints ints of any length")
+@pytest.mark.parametrize("command", ["bound", "divisibility", "witness"])
+def test_dimension_past_digit_limit_exits_2(runner, command):
+    # N itself parses, but 2N has one digit more than Python prints.
+    limit = sys.get_int_max_str_digits()
+    res = runner.invoke(cli, [command, "5" + "0" * (limit - 1)])
+    assert res.exit_code == 2
+    assert f"dimension 2n is too long to print: Exceeds the limit ({limit} digits)" in res.output
+
+
 def test_witness_command(runner):
     res = runner.invoke(cli, ["witness", "3"])
     assert res.exit_code == 0

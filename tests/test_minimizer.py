@@ -1,4 +1,5 @@
 import math
+import random
 import time
 
 import pytest
@@ -388,6 +389,39 @@ def test_largest_first_parts_match_greedy(kind):
                 assert _polygonal_parts(target, count, cap, kind, largest_first=True) == (
                     _greedy_parts(target, count, cap, kind)
                 ), (target, count, cap)
+
+
+def _check_both_orders(target, count, cap, kind):
+    greedy = _greedy_parts(target, count, cap, kind)
+    assert _polygonal_parts(target, count, cap, kind, largest_first=True) == greedy, (target, count, cap)
+    # Whether parts exist does not depend on the order, and the scan from 1
+    # costs O(target^1.5) to find that three parts do not, so the cheap
+    # greedy reference answers None for both orders.
+    smallest = None if greedy is None else _lex_smallest_parts_scan(target, count, cap, kind)
+    assert _polygonal_parts(target, count, cap, kind, largest_first=False) == smallest, (target, count, cap)
+
+
+@pytest.mark.parametrize("kind", list(DecompositionKind))
+def test_two_part_walk_matches_references_to_1e5(kind):
+    """Two and three parts, past the exhaustive scans above: seeded targets
+    up to 10^5, with cap = target, caps below and above the target's index,
+    and the edge cases of the two-part walk."""
+    rng = random.Random(20261019)
+    w, index = kind.part_value, kind.max_index
+    for count in (2, 3):
+        for _ in range(60):
+            target = rng.randint(1, 10**5) if rng.random() < 0.8 else rng.randint(1, 2000)
+            _check_both_orders(target, count, target, kind)
+            _check_both_orders(target, count, rng.randint(1, index(target) + 2), kind)
+        for k in (1, 2, 3, 10, 99, 316):
+            # rest = 0: the target is one part, which is not two.
+            _check_both_orders(w(k), count, w(k), kind)
+            # A cap below the target's index.
+            _check_both_orders(w(k) + w(k // 2 + 1), count, k, kind)
+        for k, j in ((2, 1), (5, 5), (44, 3), (300, 17), (446, 445)):
+            # A rest that is one part (for triangulars, 8 * rest + 1 is a square).
+            _check_both_orders(w(k) + w(j), count, max(k, j), kind)
+            _check_both_orders(w(k) + w(j), count, rng.randint(1, max(k, j)), kind)
 
 
 @pytest.mark.parametrize("parity", list(Parity))

@@ -10,6 +10,7 @@ from fpbounds.numtheory import (
     Factorization,
     Unrepresentable,
     _free_of_odd_3mod4,
+    _no_odd_3mod4_prime,
     _split_cofactor,
     _strong_lucas_probable_prime,
     factorize,
@@ -175,6 +176,41 @@ def test_criteria_match_factorization_large():
         assert two_squares_criterion(x) == expected, x
         if x % 4 == 1:
             assert two_triangulars_criterion((x - 1) // 4) == expected, x
+
+
+def _prime_1mod4_near(rng, lo, hi):
+    while True:
+        p = _prime_near(rng, lo, hi)
+        if p % 4 == 1:
+            return p
+
+
+def test_small_3mod4_prime_decides_before_the_cofactor(monkeypatch):
+    """A trial prime = 3 mod 4 of odd exponent answers False at once, so a
+    cofactor that rho would need seconds to split is never looked at."""
+    rng = random.Random(20261019)
+    p, q = (_prime_1mod4_near(rng, 10**12, 2 * 10**12) for _ in range(2))
+    semiprime = p * q
+
+    def refuse(rem):
+        raise AssertionError(f"cofactor {rem} was split")
+
+    monkeypatch.setattr("fpbounds.numtheory._split_cofactor", refuse)
+    for small in (3, 7**3, 3 * 5**2, 991, 2 * 19):
+        assert not two_squares_criterion(small * semiprime), small
+    assert not two_triangulars_criterion((3 * 7 * semiprime - 1) // 4)
+
+
+def test_no_odd_3mod4_prime_matches_factorization():
+    # Small primes = 3 mod 4 with odd and even exponents next to ones = 1
+    # mod 4, times a random cofactor, for n up to about 10^12.
+    rng = random.Random(20261020)
+    small = [p for p in range(2, 120) if is_prime(p)]
+    for _ in range(3000):
+        n = math.prod(p ** rng.randint(1, 4) for p in rng.sample(small, rng.randint(1, 3)))
+        if n <= 10**12:
+            n *= rng.randint(1, 10**12 // n)
+            assert _no_odd_3mod4_prime(n) == _free_of_odd_3mod4(factorize(n)), n
 
 
 def test_legendre_form_examples():
