@@ -3,9 +3,12 @@ count of a circle action on a 2n-dimensional compact almost complex
 manifold with c1*c(n-1)[M] = 0.
 
 The bound depends on r = gcd(m, 12) for n = 2m and r = gcd(m-1, 12) for
-n = 2m+1, with sub-cases decided by square tests, the two-squares
-criterion, the 4^k(8t+7) obstruction, and triangularity.  Every case is
-labelled with a stable branch string so tests can pin which case fired.
+n = 2m+1.  The whole case analysis is one table, _CASES, keyed by
+(n % 2, r): each key lists its sub-case tests in the order they are tried
+(square tests, the two-squares criterion, the 4^k(8t+7) obstruction,
+n = 28 mod 32, triangularity) and a default.  Every case carries its full
+branch string, such as "even/r=12/legendre-ok", a stable public string
+that tests pin; verify's list of the 27 cases is read off the same table.
 """
 
 from __future__ import annotations
@@ -75,73 +78,74 @@ class DivisibilityResult:
     c1_zero: bool
 
 
-def _even_case(n: int, r: int) -> tuple[int, str]:
-    if r == 1:
-        return 12, ""
-    if r == 2:
-        if n % 32 != 28:
-            return 6, "not-28-mod-32"
-        return 12, "28-mod-32"
-    if r == 3:
-        if two_squares_criterion(n // 6):
-            return 4, "Euler"
-        return 8, "non-Euler"
-    if r == 4:
-        if is_square(n // 2):
-            return 3, "n-2-square"
-        if not is_legendre_form(n):
-            return 6, "legendre-ok"
-        return 9, "legendre-fails"
-    if r == 6:
-        if is_square(n // 12):
-            return 2, "n-12-square"
-        if two_squares_criterion(n // 6):
-            return 4, "Euler"
-        if n % 32 != 28:
-            return 6, "not-28-mod-32"
-        return 8, "28-mod-32"
-    # r == 12
-    if is_square(n // 12):
-        return 2, "n-12-square"
-    if is_square(n // 2):
-        return 3, "n-2-square"
-    if two_squares_criterion(n // 6):
-        return 4, "Euler"
-    if not is_legendre_form(n):
-        return 6, "legendre-ok"
-    return 7, "legendre-fails"
+def _not_28_mod_32(n: int) -> bool:
+    return n % 32 != 28
 
 
-def _odd_case(n: int, r: int) -> tuple[int, str]:
-    if r <= 4:
-        return 24 // r, ""
-    if r == 6:
-        if two_squares_criterion(n // 3):
-            return 4, "Euler"
-        return 8, "non-Euler"
-    # r == 12
-    if is_triangular((n - 3) // 24):
-        return 2, "triangular"
-    if two_squares_criterion(n // 3):
-        return 4, "Euler"
-    return 6, "non-Euler"
+def _legendre_ok(n: int) -> bool:
+    return not is_legendre_form(n)
+
+
+# The case analysis: (n % 2, r) -> (tests, default).  A test
+# (predicate, divisor, value, branch) fires when predicate(n // divisor)
+# holds; the first test that fires decides, else the default (value, branch).
+# Predicates are looked up by name when _case runs, so a wrapper installed on
+# this module's name (bench/spans.py, monkeypatch) sees every call.
+_CASES = {
+    (0, 1): ((), (12, "even/r=1")),
+    (0, 2): ((("_not_28_mod_32", 1, 6, "even/r=2/not-28-mod-32"),), (12, "even/r=2/28-mod-32")),
+    (0, 3): ((("two_squares_criterion", 6, 4, "even/r=3/Euler"),), (8, "even/r=3/non-Euler")),
+    (0, 4): ((("is_square", 2, 3, "even/r=4/n-2-square"),
+              ("_legendre_ok", 1, 6, "even/r=4/legendre-ok")),
+             (9, "even/r=4/legendre-fails")),
+    (0, 6): ((("is_square", 12, 2, "even/r=6/n-12-square"),
+              ("two_squares_criterion", 6, 4, "even/r=6/Euler"),
+              ("_not_28_mod_32", 1, 6, "even/r=6/not-28-mod-32")),
+             (8, "even/r=6/28-mod-32")),
+    (0, 12): ((("is_square", 12, 2, "even/r=12/n-12-square"),
+               ("is_square", 2, 3, "even/r=12/n-2-square"),
+               ("two_squares_criterion", 6, 4, "even/r=12/Euler"),
+               ("_legendre_ok", 1, 6, "even/r=12/legendre-ok")),
+              (7, "even/r=12/legendre-fails")),
+    (1, 1): ((), (24, "odd/r=1")),
+    (1, 2): ((), (12, "odd/r=2")),
+    (1, 3): ((), (8, "odd/r=3")),
+    (1, 4): ((), (6, "odd/r=4")),
+    (1, 6): ((("two_squares_criterion", 3, 4, "odd/r=6/Euler"),), (8, "odd/r=6/non-Euler")),
+    # n = 24k + 3 here, so n // 24 = k.
+    (1, 12): ((("is_triangular", 24, 2, "odd/r=12/triangular"),
+               ("two_squares_criterion", 3, 4, "odd/r=12/Euler")),
+              (6, "odd/r=12/non-Euler")),
+}
+
+# Every branch string _case can return, read off the table.
+_BRANCHES = ("odd/m=1",) + tuple(
+    branch for tests, default in _CASES.values() for *_, branch in (*tests, default)
+)
 
 
 def _case(n: int) -> tuple[int, int, str]:
-    """r, the bound and the sub-case label ("" when r alone decides) for n."""
+    """r, the bound and the branch string for n, from the _CASES table.
+
+    The key is (n % 2, r) with r = gcd(m, 12) for n = 2m and gcd(m - 1, 12)
+    for n = 2m + 1; its tests run in order and the first whose predicate
+    holds at n // divisor gives the value and the full branch string, such
+    as "even/r=12/legendre-ok", else the key's default does.  Only n = 3
+    ("odd/m=1") is decided outside the table.
+    """
     if n < 2:
         raise UnsupportedHalfDimension(
             f"the bound is defined for n >= 2 (dimension >= 4), got n = {n}"
         )
-    m = n // 2
-    if n % 2 == 0:
-        r = math.gcd(m, 12)
-        return (r, *_even_case(n, r))
-    if m == 1:
-        # n = 3: the constraint forces N_0 = 0 and any N_1 >= 1 is feasible.
-        return 12, 2, ""
-    r = math.gcd(m - 1, 12)
-    return (r, *_odd_case(n, r))
+    if n == 3:
+        # The constraint forces N_0 = 0 and any N_1 >= 1 is feasible.
+        return 12, 2, "odd/m=1"
+    r = math.gcd(n // 2 - n % 2, 12)
+    tests, default = _CASES[n % 2, r]
+    for predicate, divisor, value, branch in tests:
+        if globals()[predicate](n // divisor):
+            return r, value, branch
+    return (r, *default)
 
 
 def closed_form_bound(n: int) -> BoundResult:
@@ -150,9 +154,7 @@ def closed_form_bound(n: int) -> BoundResult:
     Even n can give {2, 3, 4, 6, 7, 8, 9, 12}; odd n can give
     {2, 4, 6, 8, 12, 24}.
     """
-    r, value, case = _case(n)
-    head = "odd/m=1" if n == 3 else f"{'odd' if n % 2 else 'even'}/r={r}"
-    branch = f"{head}/{case}" if case else head
+    r, value, branch = _case(n)
     l = value * r // (24 if n % 2 else 12)
     return BoundResult(n=n, m=n // 2, r=r, value=value, branch=branch, l=l)
 
@@ -189,10 +191,6 @@ def divisibility_hirzebruch(n: int) -> int:
 def divisibility_refined(n: int, c1_zero: bool = False) -> DivisibilityResult:
     """Combine the gcd rule with the residue rule (their lcm), plus the
     extra factor 8 available when c1 = 0 and n = 2m with m = 1 mod 4."""
-    if n < 2:
-        raise UnsupportedHalfDimension(
-            f"refined divisibility is defined for n >= 2, got n = {n}"
-        )
     gcd_mod = divisibility_modulus(n)
     hirz_mod = divisibility_hirzebruch(n)
     refined = math.lcm(gcd_mod, hirz_mod)

@@ -14,6 +14,7 @@ from typing import NamedTuple
 import click
 
 from .bounds import (
+    _BRANCHES,
     _c1_zero_value,
     _case,
     c1_zero_refinement_applies,
@@ -150,10 +151,7 @@ _SUMMARY_GOLDEN = {
     30: (4, 4, 8, 16),
 }
 
-_ALL_BRANCHES = sorted(
-    {b for _, _, _, b in _CASE_GOLDEN.values()}
-    | {"odd/m=1", "odd/r=1", "odd/r=2", "odd/r=3", "odd/r=4"}
-)
+_ALL_BRANCHES = sorted(_BRANCHES)
 
 
 @click.group()

@@ -321,7 +321,8 @@ def _no_odd_3mod4_prime(n: int) -> bool:
     rem = n
     for p in _TRIAL_PRIMES:
         if p * p > rem:
-            break
+            # rem has no prime below p, so it is 1 or a prime.
+            return rem % 4 != 3
         if rem % p == 0:
             e = 0
             while rem % p == 0:

@@ -1,10 +1,12 @@
 import json
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
 
 import fpbounds.cli
 from fpbounds.bounds import (
+    _BRANCHES,
     UnsupportedHalfDimension,
     c1_zero_refinement_applies,
     closed_form_bound,
@@ -58,6 +60,46 @@ def test_odd_case_table(n, expected):
     assert (res.m, res.r, res.value, res.branch) == expected
 
 
+# How often each branch fires for n = 2..10^5, all 27 of them.
+BRANCH_COUNTS = {
+    "even/r=1": 16667,
+    "even/r=2/not-28-mod-32": 6250,
+    "even/r=2/28-mod-32": 2083,
+    "even/r=3/Euler": 2112,
+    "even/r=3/non-Euler": 6221,
+    "even/r=4/n-2-square": 74,
+    "even/r=4/legendre-ok": 7567,
+    "even/r=4/legendre-fails": 693,
+    "even/r=6/n-12-square": 46,
+    "even/r=6/Euler": 1054,
+    "even/r=6/not-28-mod-32": 2573,
+    "even/r=6/28-mod-32": 494,
+    "even/r=12/n-12-square": 45,
+    "even/r=12/n-2-square": 37,
+    "even/r=12/Euler": 1174,
+    "even/r=12/legendre-ok": 2771,
+    "even/r=12/legendre-fails": 139,
+    "odd/m=1": 1,
+    "odd/r=1": 16666,
+    "odd/r=2": 8333,
+    "odd/r=3": 8333,
+    "odd/r=4": 8333,
+    "odd/r=6/Euler": 2030,
+    "odd/r=6/non-Euler": 2137,
+    "odd/r=12/triangular": 90,
+    "odd/r=12/Euler": 1948,
+    "odd/r=12/non-Euler": 2128,
+}
+
+
+def test_branch_at_every_n_up_to_1e5():
+    """Pins the branch, not only the value, at every n; verify's coverage
+    list is read off the same table, so a dropped or misspelt row fails here."""
+    counts = Counter(closed_form_bound(n).branch for n in range(2, 100001))
+    assert counts == BRANCH_COUNTS
+    assert sorted(counts) == sorted(_BRANCHES)
+
+
 @pytest.mark.parametrize(
     "n,value",
     [(2, 12), (3, 2), (13, 24), (9, 8), (12, 2), (10, 12), (4, 6), (8, 3)],
@@ -73,8 +115,9 @@ def test_bound_n3_special_case():
 
 @pytest.mark.parametrize("n", [0, 1, -3])
 def test_bound_rejects_small_n(n):
-    with pytest.raises(UnsupportedHalfDimension):
-        closed_form_bound(n)
+    for f in (closed_form_bound, divisibility_modulus, divisibility_refined):
+        with pytest.raises(UnsupportedHalfDimension):
+            f(n)
 
 
 def test_bound_value_multiplier_invariant():

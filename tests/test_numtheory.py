@@ -201,6 +201,21 @@ def test_small_3mod4_prime_decides_before_the_cofactor(monkeypatch):
     assert not two_triangulars_criterion((3 * 7 * semiprime - 1) // 4)
 
 
+def test_criteria_leave_a_proven_prime_cofactor_unsplit(monkeypatch):
+    """Once trial division reaches p^2 > rem, the cofactor is 1 or a prime
+    and its residue mod 4 answers: every n here is below 997^2, the last
+    trial prime squared, so no cofactor is ever split."""
+    squares = [two_squares_criterion(n) for n in range(1, 20001)]
+    triangulars = [two_triangulars_criterion(n) for n in range(5001)]
+
+    def refuse(rem):
+        raise AssertionError(f"cofactor {rem} was split")
+
+    monkeypatch.setattr("fpbounds.numtheory._split_cofactor", refuse)
+    assert [two_squares_criterion(n) for n in range(1, 20001)] == squares
+    assert [two_triangulars_criterion(n) for n in range(5001)] == triangulars
+
+
 def test_no_odd_3mod4_prime_matches_factorization():
     # Small primes = 3 mod 4 with odd and even exponents next to ones = 1
     # mod 4, times a random cofactor, for n up to about 10^12.
