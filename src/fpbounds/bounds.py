@@ -36,6 +36,8 @@ __all__ = [
     "c1_zero_refinement_applies",
     "min_fixed_points",
     "conjecture_comparison",
+    "TableRow",
+    "summary_rows",
 ]
 
 
@@ -178,14 +180,7 @@ def divisibility_hirzebruch(n: int) -> int:
     trivial (1) for n = 0 mod 8, where the statement is silent."""
     if n < 1:
         raise ValueError(f"divisibility_hirzebruch requires n >= 1, got {n}")
-    k = n % 8
-    if k in (1, 5):
-        return 8
-    if k in (2, 6, 7):
-        return 4
-    if k in (3, 4):
-        return 2
-    return 1
+    return (1, 8, 4, 2, 2, 8, 4, 4)[n % 8]
 
 
 def divisibility_refined(n: int, c1_zero: bool = False) -> DivisibilityResult:
@@ -244,4 +239,33 @@ def conjecture_comparison(n_max: int) -> list[ComparisonRow]:
         kos = n // 2 + 1
         ham = n + 1
         rows.append(ComparisonRow(n, b, kos, ham, b >= kos, b >= ham))
+    return rows
+
+
+class TableRow(NamedTuple):
+    """One row of the summary table: first three possible fixed-point
+    counts for the dimension, the two comparison bounds, and (when the
+    c1 = 0 refinement bites) the alternate possible counts."""
+
+    dim: int
+    possible_values: tuple[int, int, int]
+    kosniowski: int
+    hamiltonian: int
+    c1_zero_variant: tuple[int, int, int] | None
+
+
+def summary_rows(dims: list[int]) -> list[TableRow]:
+    rows = []
+    for dim in dims:
+        if dim % 2:
+            raise ValueError(f"dimensions must be even, got {dim}")
+        n = dim // 2
+        low = _case(n)[1]
+        mod = divisibility_modulus(n)
+        variant = None
+        if c1_zero_refinement_applies(n):
+            vlow = _c1_zero_value(n, low)
+            vmod = divisibility_refined(n, c1_zero=True).modulus_refined
+            variant = (vlow, vlow + vmod, vlow + 2 * vmod)
+        rows.append(TableRow(dim, (low, low + mod, low + 2 * mod), n // 2 + 1, n + 1, variant))
     return rows

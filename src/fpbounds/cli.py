@@ -1,5 +1,5 @@
 """Command-line surface: bounds, divisibility moduli, the summary table,
-Chern evaluation of profile files, witnesses, and cross-verification.
+Chern evaluation of profile files, witnesses, and the `verify` report.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or input error.
 All output is deterministic; no environment variables are consulted.
@@ -9,59 +9,21 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
 
 import click
 
-from .bounds import (
-    _BRANCHES,
-    _c1_zero_value,
-    _case,
-    c1_zero_refinement_applies,
-    closed_form_bound,
-    divisibility_modulus,
-    divisibility_refined,
-)
+from .bounds import TableRow, closed_form_bound, divisibility_refined, summary_rows
 from .chern import (
-    Parity,
     ProfileError,
     _chern_sum,
     chern_c1cn1,
     dim6_hamiltonian_classifier,
     parse_profile,
 )
-from .minimizer import _l_search, _lattice_objectives, _sparse_witness
+from .minimizer import _sparse_witness
+from .verify import verify_report
 
 __all__ = ["main", "cli", "TableRow", "summary_rows"]
-
-
-class TableRow(NamedTuple):
-    """One row of the summary table: first three possible fixed-point
-    counts for the dimension, the two comparison bounds, and (when the
-    c1 = 0 refinement bites) the alternate possible counts."""
-
-    dim: int
-    possible_values: tuple[int, int, int]
-    kosniowski: int
-    hamiltonian: int
-    c1_zero_variant: tuple[int, int, int] | None
-
-
-def summary_rows(dims: list[int]) -> list[TableRow]:
-    rows = []
-    for dim in dims:
-        if dim % 2:
-            raise ValueError(f"dimensions must be even, got {dim}")
-        n = dim // 2
-        low = _case(n)[1]
-        mod = divisibility_modulus(n)
-        variant = None
-        if c1_zero_refinement_applies(n):
-            vlow = _c1_zero_value(n, low)
-            vmod = divisibility_refined(n, c1_zero=True).modulus_refined
-            variant = (vlow, vlow + vmod, vlow + 2 * vmod)
-        rows.append(TableRow(dim, (low, low + mod, low + 2 * mod), n // 2 + 1, n + 1, variant))
-    return rows
 
 
 def render_table_csv(rows: list[TableRow]) -> str:
@@ -104,54 +66,6 @@ def render_table_md(rows: list[TableRow]) -> str:
     if starred:
         text += "\n* with c1 = 0 the possible values are 24, 48, 72, ...\n"
     return text
-
-
-# Published case examples used by `verify` as golden data: n -> (m, r, value, branch),
-# the even table first.
-_CASE_GOLDEN = {
-    26: (13, 1, 12, "even/r=1"),
-    20: (10, 2, 6, "even/r=2/not-28-mod-32"),
-    28: (14, 2, 12, "even/r=2/28-mod-32"),
-    54: (27, 3, 4, "even/r=3/Euler"),
-    18: (9, 3, 8, "even/r=3/non-Euler"),
-    32: (16, 4, 3, "even/r=4/n-2-square"),
-    40: (20, 4, 6, "even/r=4/legendre-ok"),
-    112: (56, 4, 9, "even/r=4/legendre-fails"),
-    108: (54, 6, 2, "even/r=6/n-12-square"),
-    60: (30, 6, 4, "even/r=6/Euler"),
-    180: (90, 6, 6, "even/r=6/not-28-mod-32"),
-    252: (126, 6, 8, "even/r=6/28-mod-32"),
-    48: (24, 12, 2, "even/r=12/n-12-square"),
-    72: (36, 12, 3, "even/r=12/n-2-square"),
-    24: (12, 12, 4, "even/r=12/Euler"),
-    144: (72, 12, 6, "even/r=12/legendre-ok"),
-    1008: (504, 12, 7, "even/r=12/legendre-fails"),
-    39: (19, 6, 4, "odd/r=6/Euler"),
-    63: (31, 6, 8, "odd/r=6/non-Euler"),
-    75: (37, 12, 2, "odd/r=12/triangular"),
-    51: (25, 12, 4, "odd/r=12/Euler"),
-    99: (49, 12, 6, "odd/r=12/non-Euler"),
-}
-
-# Summary-table goldens for dims 4..30: dim -> (min, modulus, kosniowski, hamiltonian).
-_SUMMARY_GOLDEN = {
-    4: (12, 12, 2, 3),
-    6: (2, 2, 2, 4),
-    8: (6, 6, 3, 5),
-    10: (24, 24, 3, 6),
-    12: (4, 4, 4, 7),
-    14: (12, 12, 4, 8),
-    16: (3, 3, 5, 9),
-    18: (8, 8, 5, 10),
-    20: (12, 12, 6, 11),
-    22: (6, 6, 6, 12),
-    24: (2, 2, 7, 13),
-    26: (24, 24, 7, 14),
-    28: (12, 12, 8, 15),
-    30: (4, 4, 8, 16),
-}
-
-_ALL_BRANCHES = sorted(_BRANCHES)
 
 
 @click.group()
@@ -304,8 +218,11 @@ def chern(profile_path: str) -> None:
         value = chern_c1cn1(profile)
     except ProfileError as exc:
         raise click.UsageError(str(exc))
-    click.echo(f"c1*c(n-1)[M] = {value}")
-    click.echo(f"fixed points = {profile.total()}")
+    try:  # both numbers can pass Python's digit limit for int to str
+        text = f"c1*c(n-1)[M] = {value}\nfixed points = {profile.total()}"
+    except ValueError as exc:
+        raise click.UsageError(f"result is too long to print: {exc}")
+    click.echo(text)
     click.echo("symmetric = yes")
     if profile.n == 3:
         click.echo(f"dim-6 classification = {dim6_hamiltonian_classifier(value).value}")
@@ -323,75 +240,6 @@ def witness(n: int, fmt: str) -> None:
     _echo_payload(payload, fmt, {"counts": "profile", "total": "total", "c1cn1": "c1*c(n-1)[M]"})
 
 
-_LATTICE_CAP = 48
-
-_Check = tuple[str, str, list[str]]  # ok line, failure label, mismatches (none when it passes)
-
-
-def _verify_checks(max_m: int, lattice_max_n: int) -> tuple[list[_Check], set[str]]:
-    """Run all cross-checks; returns every check, in report order, and the
-    branches seen."""
-    checks: list[_Check] = []
-    seen: set[str] = set()
-
-    for label, parity, first, l_max in (
-        ("even", Parity.EVEN, 2, 7),
-        ("odd", Parity.ODD, 3, 3),
-    ):
-        last = 2 * max_m + first - 2
-        mismatch = []
-        for n in range(first, last + 1, 2):
-            result = closed_form_bound(n)
-            seen.add(result.branch)
-            solved = _l_search(n // 2, parity)
-            if solved.minimum != result.value or solved.l > l_max:
-                mismatch.append(
-                    f"n={n}: closed-form={result.value}, l-search={solved.minimum} (l={solved.l})"
-                )
-        checks.append((f"closed form vs l-search agrees for {label} n = {first}..{last}",
-                       f"closed form vs l-search ({label})", mismatch))
-
-    mismatch = []
-    for n in range(2, lattice_max_n + 1):
-        objectives = _lattice_objectives(n, _LATTICE_CAP)
-        expected = closed_form_bound(n).value
-        if not objectives or objectives[0] != expected:
-            got = objectives[0] if objectives else None
-            mismatch.append(f"n={n}: closed-form={expected}, lattice={got}")
-            continue
-        modulus = divisibility_modulus(n)
-        bad = [objective for objective in objectives if objective % modulus]
-        if bad:
-            mismatch.append(f"n={n}: objectives {bad[:3]} not divisible by {modulus}")
-    checks.append((f"lattice enumeration (cap {_LATTICE_CAP}) matches closed form and the "
-                   f"divisibility rule for n = 2..{lattice_max_n}",
-                   "lattice enumeration", mismatch))
-
-    for label in ("even", "odd"):
-        golden = {n: row for n, row in _CASE_GOLDEN.items() if row[3].startswith(f"{label}/")}
-        mismatch = []
-        for n, (m, r, value, branch) in golden.items():
-            res = closed_form_bound(n)
-            if (res.m, res.r, res.value, res.branch) != (m, r, value, branch):
-                mismatch.append(
-                    f"n={n}: expected ({m},{r},{value},{branch}), "
-                    f"got ({res.m},{res.r},{res.value},{res.branch})"
-                )
-        checks.append((f"{label} case table reproduced ({len(golden)} rows)",
-                       f"{label} case table", mismatch))
-
-    # The rows that `table` prints, so `verify` checks what users read.
-    mismatch = []
-    for row, expected in zip(summary_rows(list(_SUMMARY_GOLDEN)), _SUMMARY_GOLDEN.values()):
-        low, second, _ = row.possible_values
-        got = (low, second - low, row.kosniowski, row.hamiltonian)
-        if got != expected:
-            mismatch.append(f"dim={row.dim}: expected {expected}, got {got}")
-    checks.append(("summary table reproduced for dims 4..30", "summary table dims 4..30", mismatch))
-
-    return checks, seen
-
-
 @cli.command()
 @click.option("--max-m", type=int, default=200, show_default=True)
 @click.option("--lattice-max-n", type=int, default=30, show_default=True)
@@ -402,19 +250,9 @@ def verify(ctx: click.Context, max_m: int, lattice_max_n: int) -> None:
         raise click.UsageError(f"--max-m must be >= 1, got {max_m}")
     if lattice_max_n < 2:
         raise click.UsageError(f"--lattice-max-n must be >= 2, got {lattice_max_n}")
-    checks, seen = _verify_checks(max_m, lattice_max_n)
-    failures = [f"FAIL: {label}: {'; '.join(bad[:5])}" for _, label, bad in checks if bad]
-    for line in [f"ok: {ok}" for ok, _, bad in checks if not bad] + failures:
-        click.echo(line)
-    hit = [b for b in _ALL_BRANCHES if b in seen]
-    click.echo(f"branch coverage: {len(hit)}/{len(_ALL_BRANCHES)} cases exercised")
-    missing = [b for b in _ALL_BRANCHES if b not in seen]
-    if missing:
-        click.echo(f"missing branches: {', '.join(missing)}")
-    if max_m < 504:
-        click.echo("warning: full even-case coverage needs --max-m >= 504")
-    click.echo("RESULT " + ("FAIL" if failures else "PASS"))
-    if failures:
+    lines = verify_report(max_m, lattice_max_n)
+    click.echo("\n".join(lines))
+    if lines[-1] == "RESULT FAIL":
         ctx.exit(1)
 
 

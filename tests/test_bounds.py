@@ -3,6 +3,8 @@ from collections import Counter
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 import fpbounds.cli
 from fpbounds.bounds import (
@@ -15,6 +17,7 @@ from fpbounds.bounds import (
     divisibility_modulus,
     divisibility_refined,
     min_fixed_points,
+    summary_rows,
 )
 
 # Published case examples, even half-dimensions: n -> (m, r, value, branch).
@@ -294,3 +297,30 @@ def test_conjecture_comparison_minimal():
 def test_conjecture_comparison_nothing_beyond_41():
     rows = conjecture_comparison(120)
     assert all(not row.beats_kosniowski for row in rows if row.n > 41)
+
+
+def _assert_rows_agree_with_api(rows):
+    """`summary_rows` reads `_case` directly; its rows must equal what the
+    public API gives for the same n."""
+    for row in rows:
+        n = row.dim // 2
+        low, step = min_fixed_points(n), divisibility_modulus(n)
+        assert row.possible_values == (low, low + step, low + 2 * step), row
+        assert (row.kosniowski, row.hamiltonian) == (n // 2 + 1, n + 1), row
+        if c1_zero_refinement_applies(n):
+            low = min_fixed_points(n, c1_zero=True)
+            step = divisibility_refined(n, c1_zero=True).modulus_refined
+            assert row.c1_zero_variant == (low, low + step, low + 2 * step), row
+        else:
+            assert row.c1_zero_variant is None, row
+
+
+def test_summary_rows_agree_with_api_up_to_dim_2e4():
+    rows = summary_rows(list(range(4, 20001, 2)))
+    assert [row.dim for row in rows] == list(range(4, 20001, 2))
+    _assert_rows_agree_with_api(rows)
+
+
+@given(st.integers(2, 10**12))
+def test_summary_rows_agree_with_api_property(n):
+    _assert_rows_agree_with_api(summary_rows([2 * n]))

@@ -303,6 +303,19 @@ def test_chern_integer_past_digit_limit_exits_2(runner, tmp_path):
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
                     reason="this Python prints ints of any length")
+def test_chern_result_past_digit_limit_exits_2(runner, tmp_path):
+    # Each count parses, but c1*c(n-1) = 10c - 1 and the total 2c + 1 have one
+    # digit more than Python prints.
+    count = int("9" * sys.get_int_max_str_digits())
+    path = _write_profile(tmp_path, {"n": 2, "counts": [count, 1, count]})
+    res = runner.invoke(cli, ["chern", "--profile", path])
+    assert res.exit_code == 2
+    assert "result is too long to print: " in res.output
+    assert "Traceback" not in res.output and isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="this Python prints ints of any length")
 @pytest.mark.parametrize("command", ["bound", "divisibility", "witness"])
 def test_dimension_past_digit_limit_exits_2(runner, command):
     # N itself parses, but 2N has one digit more than Python prints.
@@ -398,7 +411,7 @@ def _minimum_dropped_at_17(n, value_cap):
     ids=["modulus", "minimum"],
 )
 def test_verify_reports_lattice_failure(runner, monkeypatch, name, fake, detail):
-    monkeypatch.setattr(f"fpbounds.cli.{name}", fake)
+    monkeypatch.setattr(f"fpbounds.verify.{name}", fake)
     res = runner.invoke(cli, ["verify", "--max-m", "30", "--lattice-max-n", "20"])
     assert res.exit_code == 1
     lines = res.output.splitlines()
@@ -415,7 +428,7 @@ def _minimum_dropped_at_1008(n, value_cap):
 
 
 def test_verify_reports_lattice_failure_past_n_53(runner, monkeypatch):
-    monkeypatch.setattr("fpbounds.cli._lattice_objectives", _minimum_dropped_at_1008)
+    monkeypatch.setattr("fpbounds.verify._lattice_objectives", _minimum_dropped_at_1008)
     res = runner.invoke(cli, ["verify", "--max-m", "1", "--lattice-max-n", "1008"])
     assert res.exit_code == 1
     lines = res.output.splitlines()
@@ -437,7 +450,7 @@ def _minimum_doubled_at(parity, at_m):
 
 
 def _assert_lsearch_failure(runner, monkeypatch, parity, at_m, expected):
-    monkeypatch.setattr("fpbounds.cli._l_search", _minimum_doubled_at(parity, at_m))
+    monkeypatch.setattr("fpbounds.verify._l_search", _minimum_doubled_at(parity, at_m))
     res = runner.invoke(cli, ["verify", "--max-m", "30", "--lattice-max-n", "20"])
     assert res.exit_code == 1
     lines = res.output.splitlines()
@@ -483,7 +496,7 @@ def _modulus_5_at_5(n):
     "name,fake,lattice_max_n,expected",
     [
         (
-            "closed_form_bound", _branch_x_at_1008_and_99, "20",
+            "fpbounds.verify.closed_form_bound", _branch_x_at_1008_and_99, "20",
             [
                 "FAIL: even case table: n=1008: expected (504,12,7,even/r=12/legendre-fails), "
                 "got (504,12,7,x)",
@@ -492,7 +505,7 @@ def _modulus_5_at_5(n):
             ],
         ),
         (
-            "divisibility_modulus", _modulus_5_at_5, "4",
+            "fpbounds.bounds.divisibility_modulus", _modulus_5_at_5, "4",
             [
                 "FAIL: summary table dims 4..30: dim=10: expected (24, 24, 3, 6), "
                 "got (24, 5, 3, 6)",
@@ -502,7 +515,7 @@ def _modulus_5_at_5(n):
     ids=["case-tables", "summary"],
 )
 def test_verify_reports_table_failure(runner, monkeypatch, name, fake, lattice_max_n, expected):
-    monkeypatch.setattr(f"fpbounds.cli.{name}", fake)
+    monkeypatch.setattr(name, fake)
     res = runner.invoke(cli, ["verify", "--max-m", "30", "--lattice-max-n", lattice_max_n])
     assert res.exit_code == 1
     lines = res.output.splitlines()
@@ -518,8 +531,8 @@ def _minimum_dropped_from_14(n, value_cap):
 def test_verify_reports_two_failures_truncated(runner, monkeypatch):
     # Every ok line comes first, then one FAIL line per failing check with its
     # first 5 mismatches (the lattice check has 7 here).
-    monkeypatch.setattr("fpbounds.cli._l_search", _minimum_doubled_at(Parity.EVEN, 10))
-    monkeypatch.setattr("fpbounds.cli._lattice_objectives", _minimum_dropped_from_14)
+    monkeypatch.setattr("fpbounds.verify._l_search", _minimum_doubled_at(Parity.EVEN, 10))
+    monkeypatch.setattr("fpbounds.verify._lattice_objectives", _minimum_dropped_from_14)
     res = runner.invoke(cli, ["verify", "--max-m", "30", "--lattice-max-n", "20"])
     assert res.exit_code == 1
     assert res.output.splitlines() == [
