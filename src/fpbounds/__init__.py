@@ -50,7 +50,6 @@ from .numtheory import (
     Decomposition,
     DecompositionKind,
     Factorization,
-    Unrepresentable,
     factorize,
     is_legendre_form,
     is_prime,

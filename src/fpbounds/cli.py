@@ -128,6 +128,8 @@ def _bound_payload(n: int, c1_zero: bool, with_witness: bool) -> dict:
         entries = [(i, scale * count) for i, count in _sparse_witness(n)]
         payload["witness"] = (n + 1, entries)
         payload["witness_total"] = sum(count for _, count in entries)
+        if payload["witness_total"] != payload["value"] or _chern_sum(n, entries):
+            raise click.ClickException(f"witness of n = {n}: total or c1*c(n-1) disagrees with {payload['value']}")
     return payload
 
 
@@ -237,6 +239,8 @@ def witness(n: int, fmt: str) -> None:
     entries = _sparse_witness(n)
     payload = {"n": n, "dim": 2 * n, "counts": (n + 1, entries),
                "total": sum(count for _, count in entries), "c1cn1": _chern_sum(n, entries)}
+    if payload["c1cn1"]:
+        raise click.ClickException(f"witness of n = {n}: c1*c(n-1)[M] = {payload['c1cn1']}, not 0")
     _echo_payload(payload, fmt, {"counts": "profile", "total": "total", "c1cn1": "c1*c(n-1)[M]"})
 
 

@@ -5,7 +5,7 @@ Two routes compute the same minima as the closed-form case analysis:
 * an l-search mirroring the structure of the case proofs: find the
   smallest l >= 1 such that l*m/r (even) or l*(m-1)/r (odd) is a sum of
   squares resp. triangular numbers with few enough parts.  The count
-  comes from `numtheory`'s bounded count rule, and the lexicographically
+  comes from `numtheory`'s classical theorems, and the lexicographically
   smallest parts from its one bounded search, the same search that writes
   the largest-first witnesses of min_squares / min_triangulars; and
 * a lattice enumeration: a walk over a finite box that provably contains
@@ -38,7 +38,7 @@ from itertools import groupby, islice
 from typing import NamedTuple
 
 from .chern import FixedPointProfile, Parity, ProfileError, ReducedProfile
-from .numtheory import DecompositionKind, _bounded_min_count, _polygonal_parts, _reach_levels
+from .numtheory import DecompositionKind, _min_count, _polygonal_parts, _reach_levels
 
 __all__ = [
     "CapExceeded",
@@ -127,11 +127,13 @@ def _l_search(m: int, parity: Parity) -> _LSolution:
     r = math.gcd(d, 12)
     for l in range(1, _L_CAP + 1):
         target = l * d // r
-        count = _bounded_min_count(target, m, spec.kind)
+        count = _min_count(target, spec.kind)
         middle = 12 * l // r - spec.charge * count
         if middle >= 0:
+            # The count is uncapped, but every target tried is <= w_m.
             parts = _polygonal_parts(target, count, m, spec.kind, largest_first=False)
-            assert parts is not None
+            if parts is None:
+                raise AssertionError(f"no {count} parts w_k, k <= {m}, sum to {target}")
             return _LSolution(l, spec.scale * l // r, parts, middle)
     raise CapExceeded(f"no l <= {_L_CAP} works for m = {m} ({parity.value} case)")
 

@@ -4,11 +4,12 @@ and minimal representations as sums of polygonal parts.
 The fast paths are the classical criteria (Lagrange, Legendre, Euler,
 Gauss, Ewell); Euler's and Ewell's stop trial division at the first prime
 = 3 mod 4 of odd exponent.  Bounded breadth-first searches cross-check them.
-This module alone decides how a target splits into polygonal parts: one
-rule gives the minimal count under a generator cap, and one bounded
-search writes exactly that many parts (largest-first for min_squares /
-min_triangulars, lexicographically smallest for the l-search witness in
-`minimizer`); the last two parts take one walk that tests each rest.
+This module alone decides how a target splits into polygonal parts: the
+theorems give the minimal count with no cap on the parts, and one search,
+the only code that caps the generators, writes exactly that many parts
+(largest-first for min_squares / min_triangulars, lexicographically
+smallest for the l-search witness in `minimizer`); the last two parts take
+one walk that tests each rest.
 All functions are pure and deterministic.
 """
 
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 __all__ = [
-    "Unrepresentable",
     "Factorization",
     "DecompositionKind",
     "Decomposition",
@@ -37,10 +37,6 @@ __all__ = [
     "min_squares_bruteforce",
     "min_triangulars_bruteforce",
 ]
-
-
-class Unrepresentable(ValueError):
-    """No representation exists under the requested part bound."""
 
 
 def _sieve_primes(limit: int) -> tuple[int, ...]:
@@ -455,40 +451,21 @@ def _polygonal_parts(
     return None
 
 
-def _min_squares_count(n: int) -> int:
-    """The count of min_squares(n) for n >= 1, without a witness."""
+def _min_count(n: int, kind: DecompositionKind) -> int:
+    """Minimal count of parts of `kind` summing to n >= 0, from the
+    classical theorems alone, without a witness.  The parts are not capped:
+    a caller that caps them checks its witness search for the count."""
+    if n == 0:
+        return 0
+    if kind is DecompositionKind.TRIANGULARS:
+        if is_triangular(n):
+            return 1
+        return 2 if two_triangulars_criterion(n) else 3
     if is_square(n):
         return 1
     if two_squares_criterion(n):
         return 2
-    if is_legendre_form(n):
-        return 4
-    return 3
-
-
-def _min_triangulars_count(n: int) -> int:
-    """The count of min_triangulars(n) for n >= 1, without a witness."""
-    if is_triangular(n):
-        return 1
-    if two_triangulars_criterion(n):
-        return 2
-    return 3
-
-
-def _bounded_min_count(target: int, generator_cap: int, kind: DecompositionKind) -> int:
-    """Minimal part count for `target` with generators 1..generator_cap.
-
-    When target <= (largest allowed part) every representation respects
-    the cap automatically and the fast criteria apply; otherwise fall
-    back to the exact bounded search.
-    """
-    if target == 0:
-        return 0
-    if target <= kind.part_value(generator_cap):
-        if kind is DecompositionKind.SQUARES:
-            return _min_squares_count(target)
-        return _min_triangulars_count(target)
-    return _bruteforce_min(target, generator_cap, kind)[0]
+    return 4 if is_legendre_form(n) else 3
 
 
 def _min_parts(n: int, kind: DecompositionKind) -> tuple[int, Decomposition]:
@@ -496,7 +473,7 @@ def _min_parts(n: int, kind: DecompositionKind) -> tuple[int, Decomposition]:
     criteria, with the largest-first witness."""
     if n < 0:
         raise ValueError(f"min_{kind.value} requires n >= 0")
-    count = _bounded_min_count(n, n, kind)
+    count = _min_count(n, kind)
     parts = _polygonal_parts(n, count, n, kind, largest_first=True)
     if parts is None:  # criteria guarantee existence
         raise AssertionError(f"no {count}-part {kind.value} witness for {n}")
@@ -549,22 +526,16 @@ def _bruteforce_min(n: int, max_generator: int, kind: DecompositionKind) -> tupl
         return 0, Decomposition(kind, (), 0)
     values = [(k, kind.part_value(k)) for k in range(1, max_generator + 1)
               if kind.part_value(k) <= n]
-    if not values:
-        raise Unrepresentable(f"no parts <= {n} with generator bound {max_generator}")
     if len(values) == 1:
-        # Only the unit part is available; the count is forced.
-        k, v = values[0]
-        if n % v:
-            raise Unrepresentable(f"{n} is not a multiple of the single part {v}")
-        return n // v, _make_decomposition(kind, [k] * (n // v), n)
+        # Only the unit part w_1 = 1 is available; the count is forced.
+        return n, _make_decomposition(kind, [1] * n, n)
 
+    # The unit part reaches every total, so some level sets bit n.
     levels = []
     for reach in _reach_levels([v for _, v in values], n):
         levels.append(reach)
         if (reach >> n) & 1:
             break
-    else:
-        raise Unrepresentable(f"{n} has no representation with generator bound {max_generator}")
     count = len(levels) - 1
 
     generators = []
@@ -575,7 +546,8 @@ def _bruteforce_min(n: int, max_generator: int, kind: DecompositionKind) -> tupl
                 generators.append(k)
                 cur -= v
                 break
-    assert cur == 0
+    if cur:
+        raise AssertionError(f"walk back from {n} stopped at {cur}")
     return count, _make_decomposition(kind, generators, n)
 
 

@@ -340,6 +340,32 @@ def test_witness_json(runner):
     assert payload["c1cn1"] == 0
 
 
+def test_bound_witness_checks_the_closed_form(runner, monkeypatch):
+    # A closed form that disagrees with the l-search's witness exits 1.
+    monkeypatch.setattr("fpbounds.cli.closed_form_bound",
+                        lambda n: dataclasses.replace(closed_form_bound(n), value=5))
+    assert runner.invoke(cli, ["bound", "6"]).exit_code == 0  # no witness, no check
+    res = runner.invoke(cli, ["bound", "6", "--witness"])
+    assert res.exit_code == 1
+    assert "witness of n = 6: total or c1*c(n-1) disagrees with 5" in res.output
+
+
+def test_bound_witness_checks_the_chern_sum(runner, monkeypatch):
+    # Four fixed points, the bound of n = 6, but c1*c(n-1) = 204.
+    monkeypatch.setattr("fpbounds.cli._sparse_witness", lambda n: [(0, 2), (6, 2)])
+    res = runner.invoke(cli, ["bound", "6", "--witness"])
+    assert res.exit_code == 1
+    assert "witness of n = 6: total or c1*c(n-1) disagrees with 4" in res.output
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_witness_checks_the_chern_sum(runner, monkeypatch, fmt):
+    monkeypatch.setattr("fpbounds.cli._sparse_witness", lambda n: [(0, 1), (10, 1)])
+    res = runner.invoke(cli, ["witness", "10", "--format", fmt])
+    assert res.exit_code == 1
+    assert res.output == "Error: witness of n = 10: c1*c(n-1)[M] = 290, not 0\n"
+
+
 def test_divisibility_command(runner):
     res = runner.invoke(cli, ["divisibility", "10"])
     assert res.exit_code == 0

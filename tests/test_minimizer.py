@@ -12,7 +12,6 @@ from fpbounds.minimizer import (
     CapExceeded,
     SolveMethod,
     _LSolution,
-    _bounded_min_count,
     _l_search,
     _lattice_objectives,
     _lattice_points,
@@ -22,7 +21,7 @@ from fpbounds.minimizer import (
     minimize_odd,
     witness_full_profile,
 )
-from fpbounds.numtheory import DecompositionKind, _polygonal_parts
+from fpbounds.numtheory import DecompositionKind, _min_count, _polygonal_parts
 
 
 def check_outcome(outcome):
@@ -159,11 +158,30 @@ def test_enumerate_objectives_divisible():
             assert o.minimum % modulus == 0
 
 
-def test_bounded_min_count_builds_no_witness():
+def test_min_count_builds_no_witness():
     # min_squares on this prime spends seconds in its witness search.
     start = time.perf_counter()
-    assert _bounded_min_count(100000000000097, 10**8, DecompositionKind.SQUARES) == 2
+    assert _min_count(100000000000097, DecompositionKind.SQUARES) == 2
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("parity", list(Parity))
+def test_l_search_targets_fit_the_cap(parity):
+    # The part count is uncapped; it is the capped count because every
+    # target the l-search tries, the solving l's the largest, is <= w_m.
+    shift, kind = {Parity.EVEN: (0, DecompositionKind.SQUARES),
+                   Parity.ODD: (1, DecompositionKind.TRIANGULARS)}[parity]
+    for m in range(1, 5001):
+        d = m - shift
+        assert _l_search(m, parity).l * d // math.gcd(d, 12) <= kind.part_value(m), m
+
+
+def test_l_search_raises_on_a_count_without_parts(monkeypatch):
+    # One part too few: at m = 504, l = 4 then passes the count test, but
+    # 168 is no sum of 2 squares, so the witness search finds nothing.
+    monkeypatch.setattr(minimizer, "_min_count", lambda n, kind: _min_count(n, kind) - 1)
+    with pytest.raises(AssertionError, match="no 2 parts w_k, k <= 504, sum to 168"):
+        _l_search(504, Parity.EVEN)
 
 
 def test_enumerate_box_guard():

@@ -8,7 +8,6 @@ from fpbounds.numtheory import (
     Decomposition,
     DecompositionKind,
     Factorization,
-    Unrepresentable,
     _free_of_odd_3mod4,
     _no_odd_3mod4_prime,
     _split_cofactor,
@@ -274,7 +273,7 @@ def test_min_triangulars_witness_106():
 
 @pytest.mark.parametrize(
     "n,gen,count",
-    [(60, 7, 4), (4, 1, 4), (0, 5, 0), (50, 7, 2), (12, 2, 3)],
+    [(60, 7, 4), (4, 1, 4), (0, 5, 0), (50, 7, 2), (12, 2, 3), (1, 1, 1), (3, 9, 3)],
 )
 def test_min_squares_bruteforce(n, gen, count):
     got, witness = min_squares_bruteforce(n, gen)
@@ -289,7 +288,7 @@ def test_min_squares_bruteforce_unit_parts():
     assert witness.parts == ((1, 4),)
 
 
-@pytest.mark.parametrize("n,gen,count", [(106, 14, 2), (3, 1, 3), (0, 9, 0), (8, 2, 4)])
+@pytest.mark.parametrize("n,gen,count", [(106, 14, 2), (3, 1, 3), (0, 9, 0), (8, 2, 4), (2, 1, 2)])
 def test_min_triangulars_bruteforce(n, gen, count):
     got, witness = min_triangulars_bruteforce(n, gen)
     assert got == count
@@ -331,10 +330,6 @@ def test_decomposition_validate_rejects_bad_sum():
     bad = Decomposition(DecompositionKind.SQUARES, ((2, 1),), 5)
     with pytest.raises(ValueError):
         bad.validate()
-
-
-def test_unrepresentable_error_type():
-    assert issubclass(Unrepresentable, ValueError)
 
 
 def _smallest_prime_factors(limit):
