@@ -9,11 +9,14 @@ n = 2m+1.  The whole case analysis is one table, _CASES, keyed by
 n = 28 mod 32, triangularity) and a default.  Every case carries its full
 branch string, such as "even/r=12/legendre-ok", a stable public string
 that tests pin; verify's list of the 27 cases is read off the same table.
+The summary table's rows read _ROW_RULES, built from these rules at import:
+everything a row needs but the case predicates, keyed by n mod 24.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -126,6 +129,11 @@ _BRANCHES = ("odd/m=1",) + tuple(
 )
 
 
+def _case_key(n: int) -> tuple[int, int]:
+    """(n % 2, r), n's key in _CASES."""
+    return n % 2, math.gcd(n // 2 - n % 2, 12)
+
+
 def _case(n: int) -> tuple[int, int, str]:
     """r, the bound and the branch string for n, from the _CASES table.
 
@@ -142,8 +150,8 @@ def _case(n: int) -> tuple[int, int, str]:
     if n == 3:
         # The constraint forces N_0 = 0 and any N_1 >= 1 is feasible.
         return 12, 2, "odd/m=1"
-    r = math.gcd(n // 2 - n % 2, 12)
-    tests, default = _CASES[n % 2, r]
+    parity, r = _case_key(n)
+    tests, default = _CASES[parity, r]
     for predicate, divisor, value, branch in tests:
         if globals()[predicate](n // divisor):
             return r, value, branch
@@ -254,18 +262,42 @@ class TableRow(NamedTuple):
     c1_zero_variant: tuple[int, int, int] | None
 
 
-def summary_rows(dims: list[int]) -> list[TableRow]:
-    rows = []
+def _row_rule(n: int) -> tuple[tuple[tuple[str, int, int], ...], int, int, int]:
+    """The summary-row rule shared by every n >= 4 in n's residue class mod 24:
+    its case tests as (predicate, divisor, value), the default value, the gcd
+    modulus, and the c1 = 0 refined modulus (0 where the refinement does not apply)."""
+    tests, (default, _) = _CASES[_case_key(n)]
+    refined = divisibility_refined(n, c1_zero=True).modulus_refined if c1_zero_refinement_applies(n) else 0
+    return tuple(test[:3] for test in tests), default, divisibility_modulus(n), refined
+
+
+# Everything in a summary row but the case predicates depends on n mod 24:
+# the key (n % 2, r), the gcd modulus and the c1 = 0 refinement.
+_ROW_RULES = tuple(_row_rule(24 + residue) for residue in range(24))
+
+
+def _row_tuples(dims: Iterable[int]) -> Iterator[tuple]:
+    """The summary rows of `dims` as plain tuples in TableRow's field order,
+    one _ROW_RULES read each.  The predicates are looked up by name, as in _case."""
+    names = globals()
     for dim in dims:
         if dim % 2:
             raise ValueError(f"dimensions must be even, got {dim}")
         n = dim // 2
-        low = _case(n)[1]
-        mod = divisibility_modulus(n)
+        tests, low, mod, c1_mod = _ROW_RULES[n % 24]
+        if n < 4:  # _case rejects n < 2 and decides n = 3 outside the table
+            low = _case(n)[1]
+        else:
+            for predicate, divisor, value in tests:
+                if names[predicate](n // divisor):
+                    low = value
+                    break
         variant = None
-        if c1_zero_refinement_applies(n):
+        if c1_mod:
             vlow = _c1_zero_value(n, low)
-            vmod = divisibility_refined(n, c1_zero=True).modulus_refined
-            variant = (vlow, vlow + vmod, vlow + 2 * vmod)
-        rows.append(TableRow(dim, (low, low + mod, low + 2 * mod), n // 2 + 1, n + 1, variant))
-    return rows
+            variant = (vlow, vlow + c1_mod, vlow + 2 * c1_mod)
+        yield dim, (low, low + mod, low + 2 * mod), n // 2 + 1, n + 1, variant
+
+
+def summary_rows(dims: Iterable[int]) -> list[TableRow]:
+    return [TableRow(*row) for row in _row_tuples(dims)]

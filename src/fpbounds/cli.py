@@ -8,11 +8,13 @@ All output is deterministic; no environment variables are consulted.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 import click
 
-from .bounds import TableRow, closed_form_bound, divisibility_refined, summary_rows
+from .bounds import TableRow, _row_tuples, closed_form_bound, divisibility_refined, summary_rows
 from .chern import (
     ProfileError,
     _chern_sum,
@@ -26,46 +28,71 @@ from .verify import verify_report
 __all__ = ["main", "cli", "TableRow", "summary_rows"]
 
 
-def render_table_csv(rows: list[TableRow]) -> str:
-    lines = ["dim,value1,value2,value3,kosniowski,hamiltonian,c1_zero_value1,c1_zero_value2,c1_zero_value3"]
-    for dim, (v1, v2, v3), kosniowski, hamiltonian, variant in rows:
-        c1_zero = f"{variant[0]},{variant[1]},{variant[2]}" if variant else ",,"
-        lines.append(f"{dim},{v1},{v2},{v3},{kosniowski},{hamiltonian},{c1_zero}")
-    return "\n".join(lines) + "\n"
+_CHUNK_ROWS = 4096  # table renders and writes this many rows at a time, so its memory stays bounded
 
 
-def render_table_json(rows: list[TableRow]) -> str:
+def _chunks(rows: Iterable[tuple]) -> Iterator[list[tuple]]:
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        yield chunk
+
+
+def _csv_pieces(rows: Iterable[tuple]) -> Iterator[str]:
+    yield "dim,value1,value2,value3,kosniowski,hamiltonian,c1_zero_value1,c1_zero_value2,c1_zero_value3\n"
+    for chunk in _chunks(rows):
+        lines = []
+        for dim, (v1, v2, v3), kosniowski, hamiltonian, variant in chunk:
+            c1_zero = f"{variant[0]},{variant[1]},{variant[2]}" if variant else ",,"
+            lines.append(f"{dim},{v1},{v2},{v3},{kosniowski},{hamiltonian},{c1_zero}\n")
+        yield "".join(lines)
+
+
+def _json_pieces(rows: Iterable[tuple]) -> Iterator[str]:
     """Exactly json.dumps(rows as dicts, indent=2) + "\n", from one f-string per row."""
-    items = []
-    for dim, (v1, v2, v3), kosniowski, hamiltonian, variant in rows:
-        c1_zero = (f"[\n      {variant[0]},\n      {variant[1]},\n      {variant[2]}\n    ]"
-                   if variant else "null")
-        items.append(
-            f'  {{\n    "dim": {dim},\n    "possible_values": [\n      {v1},\n      {v2},'
-            f'\n      {v3}\n    ],\n    "kosniowski": {kosniowski},\n    "hamiltonian": {hamiltonian},'
-            f'\n    "c1_zero_variant": {c1_zero}\n  }}'
-        )
-    return "[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n"
+    sep = "[\n"
+    for chunk in _chunks(rows):
+        items = []
+        for dim, (v1, v2, v3), kosniowski, hamiltonian, variant in chunk:
+            c1_zero = (f"[\n      {variant[0]},\n      {variant[1]},\n      {variant[2]}\n    ]"
+                       if variant else "null")
+            items.append(
+                f'  {{\n    "dim": {dim},\n    "possible_values": [\n      {v1},\n      {v2},'
+                f'\n      {v3}\n    ],\n    "kosniowski": {kosniowski},\n    "hamiltonian": {hamiltonian},'
+                f'\n    "c1_zero_variant": {c1_zero}\n  }}'
+            )
+        yield sep + ",\n".join(items)
+        sep = ",\n"
+    yield "[]\n" if sep == "[\n" else "\n]\n"
 
 
-def render_table_md(rows: list[TableRow]) -> str:
-    lines = [
-        "| dim M = 2n | fixed points when c1*c(n-1) = 0 | Kosniowski bound | Hamiltonian bound |",
-        "| --- | --- | --- | --- |",
-    ]
+def _md_pieces(rows: Iterable[tuple]) -> Iterator[str]:
+    yield ("| dim M = 2n | fixed points when c1*c(n-1) = 0 | Kosniowski bound | Hamiltonian bound |\n"
+           "| --- | --- | --- | --- |\n")
     starred = False
-    for row in rows:
-        star = "*" if row.c1_zero_variant else ""
-        starred = starred or bool(star)
-        v1, v2, v3 = row.possible_values
-        lines.append(
-            f"| {row.dim}{star} | **{v1}**, {v2}, {v3}, ... "
-            f"| {row.kosniowski} | {row.hamiltonian} |"
-        )
-    text = "\n".join(lines) + "\n"
+    for chunk in _chunks(rows):
+        lines = []
+        for dim, (v1, v2, v3), kosniowski, hamiltonian, variant in chunk:
+            star = "*" if variant else ""
+            starred = starred or bool(star)
+            lines.append(f"| {dim}{star} | **{v1}**, {v2}, {v3}, ... | {kosniowski} | {hamiltonian} |\n")
+        yield "".join(lines)
     if starred:
-        text += "\n* with c1 = 0 the possible values are 24, 48, 72, ...\n"
-    return text
+        yield "\n* with c1 = 0 the possible values are 24, 48, 72, ...\n"
+
+
+_TABLE_PIECES = {"csv": _csv_pieces, "json": _json_pieces, "md": _md_pieces}
+
+
+def render_table_csv(rows: Iterable[tuple]) -> str:
+    return "".join(_csv_pieces(rows))
+
+
+def render_table_json(rows: Iterable[tuple]) -> str:
+    return "".join(_json_pieces(rows))
+
+
+def render_table_md(rows: Iterable[tuple]) -> str:
+    return "".join(_md_pieces(rows))
 
 
 @click.group()
@@ -182,7 +209,7 @@ def divisibility(n: int, c1_zero: bool, fmt: str) -> None:
                                  "modulus_refined": "refined modulus"})
 
 
-def _parse_dims(spec: str) -> list[int]:
+def _parse_dims(spec: str) -> range:
     try:
         lo_text, hi_text = spec.split("..")
         lo, hi = int(lo_text), int(hi_text)
@@ -192,7 +219,7 @@ def _parse_dims(spec: str) -> list[int]:
         raise click.UsageError(f"dimensions must be even, got {spec!r}")
     if lo < 4 or lo > hi:
         raise click.UsageError(f"need 4 <= A <= B, got {spec!r}")
-    return list(range(lo, hi + 1, 2))
+    return range(lo, hi + 1, 2)
 
 
 @cli.command()
@@ -200,9 +227,8 @@ def _parse_dims(spec: str) -> list[int]:
 @click.option("--format", "fmt", type=click.Choice(["csv", "json", "md"]), default="md")
 def table(dims: str, fmt: str) -> None:
     """Summary table of possible fixed-point counts per dimension."""
-    rows = summary_rows(_parse_dims(dims))
-    render = {"csv": render_table_csv, "json": render_table_json, "md": render_table_md}[fmt]
-    click.echo(render(rows), nl=False)
+    for piece in _TABLE_PIECES[fmt](_row_tuples(_parse_dims(dims))):
+        click.echo(piece, nl=False)
 
 
 @cli.command()

@@ -524,8 +524,7 @@ def _bruteforce_min(n: int, max_generator: int, kind: DecompositionKind) -> tupl
         raise ValueError("max_generator must be >= 1")
     if n == 0:
         return 0, Decomposition(kind, (), 0)
-    values = [(k, kind.part_value(k)) for k in range(1, max_generator + 1)
-              if kind.part_value(k) <= n]
+    values = [(k, kind.part_value(k)) for k in range(1, min(max_generator, kind.max_index(n)) + 1)]
     if len(values) == 1:
         # Only the unit part w_1 = 1 is available; the count is forced.
         return n, _make_decomposition(kind, [1] * n, n)

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 import fpbounds.cli
 from fpbounds.bounds import (
     _BRANCHES,
+    _CASES,
+    _ROW_RULES,
     UnsupportedHalfDimension,
+    _case_key,
     c1_zero_refinement_applies,
     closed_form_bound,
     conjecture_comparison,
@@ -324,3 +327,29 @@ def test_summary_rows_agree_with_api_up_to_dim_2e4():
 @given(st.integers(2, 10**12))
 def test_summary_rows_agree_with_api_property(n):
     _assert_rows_agree_with_api(summary_rows([2 * n]))
+
+
+def test_residue_rule_divides_the_gcd_rule():
+    # Both rules depend on n mod 24 alone, and n = 2..49 covers every residue.
+    for n in range(2, 50):
+        gcd_rule = divisibility_modulus(n)
+        assert gcd_rule % divisibility_hirzebruch(n) == 0, n
+        assert divisibility_refined(n).modulus_refined == gcd_rule, n
+        refined = divisibility_refined(n, c1_zero=True).modulus_refined
+        assert (refined != gcd_rule) == (n % 8 == 2), n
+    assert [divisibility_refined(n, c1_zero).modulus_refined for n in (2, 18) for c1_zero in (False, True)] \
+        == [12, 24, 4, 8]
+
+
+@pytest.mark.parametrize("base", [10**12, 10**18])
+def test_row_rules_match_the_per_n_functions(base):
+    """Each _ROW_RULES entry against the rules it is read off, at one n per residue."""
+    for n in range(base, base + 24):
+        tests, default, modulus, c1_modulus = _ROW_RULES[n % 24]
+        case_tests, (case_default, _) = _CASES[_case_key(n)]
+        assert tests == tuple(test[:3] for test in case_tests), n
+        assert default == case_default, n
+        assert modulus == divisibility_modulus(n), n
+        refined = divisibility_refined(n, c1_zero=True).modulus_refined
+        assert c1_modulus == (refined if c1_zero_refinement_applies(n) else 0), n
+    _assert_rows_agree_with_api(summary_rows(range(2 * base, 2 * base + 48, 2)))

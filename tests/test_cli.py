@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -8,7 +10,9 @@ from click.testing import CliRunner
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import fpbounds
 from fpbounds.bounds import (
+    _ROW_RULES,
     UnsupportedHalfDimension,
     closed_form_bound,
     divisibility_modulus,
@@ -235,6 +239,41 @@ def test_table_row_repr():
         "TableRow(dim=4, possible_values=(12, 24, 36), kosniowski=2, hamiltonian=3, "
         "c1_zero_variant=(24, 48, 72))"
     )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "md"])
+def test_table_chunk_edges_keep_the_bytes(runner, monkeypatch, fmt):
+    # Three rows a chunk split 4..30 into five chunks, the last one short.
+    monkeypatch.setattr("fpbounds.cli._CHUNK_ROWS", 3)
+    res = runner.invoke(cli, ["table", "--dims", "4..30", "--format", fmt])
+    assert res.exit_code == 0
+    assert res.output == (GOLDEN / f"table_dims_4_30.{fmt}").read_text()
+
+
+def test_table_across_the_4096_row_edge(runner):
+    # 4099 rows: one full chunk, then three rows.
+    rows = summary_rows(range(4, 8201, 2))
+    for fmt, reference in (("json", _json_reference), ("csv", _csv_reference)):
+        res = runner.invoke(cli, ["table", "--dims", "4..8200", "--format", fmt])
+        assert res.output == reference(rows), fmt
+
+
+def test_table_memory_is_bounded(tmp_path):
+    """200,000 JSON rows (34 MB of output) in a child process whose address
+    space is capped at 96 MB: a table held whole in memory needs about 190 MB."""
+    code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (96 << 20, 96 << 20)); "
+            "from fpbounds.cli import main; main()")
+    src = str(pathlib.Path(fpbounds.__file__).resolve().parents[1])
+    out = tmp_path / "table.json"
+    with out.open("wb") as fh:
+        res = subprocess.run([sys.executable, "-c", code, "table", "--dims", "4..400002", "--format", "json"],
+                             stdout=fh, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+                             timeout=120)
+    assert res.returncode == 0, res.stderr.decode()[-500:]
+    text = out.read_bytes()
+    assert text.startswith(b'[\n  {\n    "dim": 4,\n') and text.endswith(b"  }\n]\n")
+    assert text.count(b'"dim": ') == 200000 and text.count(b"\n  },\n  {\n") == 199999
+    assert b'"dim": 400002,' in text[-300:]
 
 
 def _write_profile(tmp_path, payload):
@@ -512,8 +551,9 @@ def _branch_x_at_1008_and_99(n):
     return dataclasses.replace(res, branch="x") if n in (1008, 99) else res
 
 
-def _modulus_5_at_5(n):
-    return 5 if n == 5 else divisibility_modulus(n)
+def _rules_with_modulus_5_at_residue_5():
+    tests, default, _, c1_mod = _ROW_RULES[5]
+    return _ROW_RULES[:5] + ((tests, default, 5, c1_mod),) + _ROW_RULES[6:]
 
 
 # Neither n = 1008 nor n = 99 is swept at --max-m 30, and the lattice check stops
@@ -531,7 +571,7 @@ def _modulus_5_at_5(n):
             ],
         ),
         (
-            "fpbounds.bounds.divisibility_modulus", _modulus_5_at_5, "4",
+            "fpbounds.bounds._ROW_RULES", _rules_with_modulus_5_at_residue_5(), "4",
             [
                 "FAIL: summary table dims 4..30: dim=10: expected (24, 24, 3, 6), "
                 "got (24, 5, 3, 6)",

@@ -303,6 +303,30 @@ def test_bruteforce_rejects_bad_args():
         min_squares_bruteforce(-1, 3)
 
 
+def test_bruteforce_cost_follows_the_target_not_the_cap():
+    start = time.perf_counter()
+    assert min_squares_bruteforce(5, 10**7)[0] == 2
+    assert min_triangulars_bruteforce(5, 10**7)[0] == 3
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("oracle,part", [(min_squares_bruteforce, lambda k: k * k),
+                                         (min_triangulars_bruteforce, lambda k: k * (k + 1) // 2)],
+                         ids=["squares", "triangulars"])
+def test_bruteforce_matches_the_full_generator_scan(oracle, part):
+    # Least part counts by dynamic programming over every generator 1..cap.
+    for cap in range(1, 13):
+        parts = [part(k) for k in range(1, cap + 1)]
+        least = [0]
+        for target in range(1, 200):
+            least.append(1 + min(least[target - v] for v in parts if v <= target))
+        for target in range(200):
+            count, witness = oracle(target, cap)
+            assert count == least[target], (target, cap)
+            witness.validate()
+            assert witness.count == count and all(k <= cap for k, _ in witness.parts)
+
+
 def test_criteria_agree_with_bruteforce():
     # The per-value oracle with the generator bounds that make it unbounded
     # in effect; the full 10^5 sweep lives in the acceptance suite.  The
