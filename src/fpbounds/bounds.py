@@ -9,8 +9,8 @@ n = 2m+1.  The whole case analysis is one table, _CASES, keyed by
 n = 28 mod 32, triangularity) and a default.  Every case carries its full
 branch string, such as "even/r=12/legendre-ok", a stable public string
 that tests pin; verify's list of the 27 cases is read off the same table.
-The summary table's rows read _ROW_RULES, built from these rules at import:
-everything a row needs but the case predicates, keyed by n mod 24.
+closed_form_bound and the summary table's rows both read _RULES, built at
+import from _CASES and the two moduli, one entry per residue of n mod 24.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ def _legendre_ok(n: int) -> bool:
 # The case analysis: (n % 2, r) -> (tests, default).  A test
 # (predicate, divisor, value, branch) fires when predicate(n // divisor)
 # holds; the first test that fires decides, else the default (value, branch).
-# Predicates are looked up by name when _case runs, so a wrapper installed on
-# this module's name (bench/spans.py, monkeypatch) sees every call.
+# Predicates are looked up by name on every call, so a wrapper installed on
+# this module's name (bench/spans.py, monkeypatch) sees each one.
 _CASES = {
     (0, 1): ((), (12, "even/r=1")),
     (0, 2): ((("_not_28_mod_32", 1, 6, "even/r=2/not-28-mod-32"),), (12, "even/r=2/28-mod-32")),
@@ -123,25 +123,19 @@ _CASES = {
               (6, "odd/r=12/non-Euler")),
 }
 
-# Every branch string _case can return, read off the table.
+# Every branch string closed_form_bound can return, read off the table.
 _BRANCHES = ("odd/m=1",) + tuple(
     branch for tests, default in _CASES.values() for *_, branch in (*tests, default)
 )
 
 
-def _case_key(n: int) -> tuple[int, int]:
-    """(n % 2, r), n's key in _CASES."""
-    return n % 2, math.gcd(n // 2 - n % 2, 12)
+def closed_form_bound(n: int) -> BoundResult:
+    """Evaluate the minimal fixed-point count B(n) by case analysis.
 
-
-def _case(n: int) -> tuple[int, int, str]:
-    """r, the bound and the branch string for n, from the _CASES table.
-
-    The key is (n % 2, r) with r = gcd(m, 12) for n = 2m and gcd(m - 1, 12)
-    for n = 2m + 1; its tests run in order and the first whose predicate
-    holds at n // divisor gives the value and the full branch string, such
-    as "even/r=12/legendre-ok", else the key's default does.  Only n = 3
-    ("odd/m=1") is decided outside the table.
+    The tests of n's key (n % 2, r) run in order; the first whose predicate
+    holds at n // divisor gives the value and branch string, else the key's
+    default does.  Only n = 3 ("odd/m=1") is decided outside the table.
+    Even n can give {2, 3, 4, 6, 7, 8, 9, 12}; odd n can give {2, 4, 6, 8, 12, 24}.
     """
     if n < 2:
         raise UnsupportedHalfDimension(
@@ -149,22 +143,13 @@ def _case(n: int) -> tuple[int, int, str]:
         )
     if n == 3:
         # The constraint forces N_0 = 0 and any N_1 >= 1 is feasible.
-        return 12, 2, "odd/m=1"
-    parity, r = _case_key(n)
-    tests, default = _CASES[parity, r]
+        return BoundResult(n=3, m=1, r=12, value=2, branch="odd/m=1", l=1)
+    r, tests, default, _, _ = _RULES[n % 24]
     for predicate, divisor, value, branch in tests:
         if globals()[predicate](n // divisor):
-            return r, value, branch
-    return (r, *default)
-
-
-def closed_form_bound(n: int) -> BoundResult:
-    """Evaluate the minimal fixed-point count B(n) by case analysis.
-
-    Even n can give {2, 3, 4, 6, 7, 8, 9, 12}; odd n can give
-    {2, 4, 6, 8, 12, 24}.
-    """
-    r, value, branch = _case(n)
+            break
+    else:
+        value, branch = default
     l = value * r // (24 if n % 2 else 12)
     return BoundResult(n=n, m=n // 2, r=r, value=value, branch=branch, l=l)
 
@@ -262,33 +247,32 @@ class TableRow(NamedTuple):
     c1_zero_variant: tuple[int, int, int] | None
 
 
-def _row_rule(n: int) -> tuple[tuple[tuple[str, int, int], ...], int, int, int]:
-    """The summary-row rule shared by every n >= 4 in n's residue class mod 24:
-    its case tests as (predicate, divisor, value), the default value, the gcd
-    modulus, and the c1 = 0 refined modulus (0 where the refinement does not apply)."""
-    tests, (default, _) = _CASES[_case_key(n)]
+# Everything but the case predicates depends on n mod 24, so one entry per
+# residue, (r, tests, default, modulus, c1_modulus), serves every n of it but
+# n = 3: the key's r and its _CASES entry, the gcd modulus, and the c1 = 0
+# refined modulus (0 where the refinement does not apply).
+def _rule(n: int) -> tuple:
+    r = math.gcd(n // 2 - n % 2, 12)
     refined = divisibility_refined(n, c1_zero=True).modulus_refined if c1_zero_refinement_applies(n) else 0
-    return tuple(test[:3] for test in tests), default, divisibility_modulus(n), refined
+    return (r, *_CASES[n % 2, r], divisibility_modulus(n), refined)
 
 
-# Everything in a summary row but the case predicates depends on n mod 24:
-# the key (n % 2, r), the gcd modulus and the c1 = 0 refinement.
-_ROW_RULES = tuple(_row_rule(24 + residue) for residue in range(24))
+_RULES = tuple(_rule(24 + residue) for residue in range(24))
 
 
 def _row_tuples(dims: Iterable[int]) -> Iterator[tuple]:
     """The summary rows of `dims` as plain tuples in TableRow's field order,
-    one _ROW_RULES read each.  The predicates are looked up by name, as in _case."""
+    one _RULES read each; the predicates are looked up by name in globals()."""
     names = globals()
     for dim in dims:
         if dim % 2:
             raise ValueError(f"dimensions must be even, got {dim}")
         n = dim // 2
-        tests, low, mod, c1_mod = _ROW_RULES[n % 24]
-        if n < 4:  # _case rejects n < 2 and decides n = 3 outside the table
-            low = _case(n)[1]
+        _, tests, (low, _), mod, c1_mod = _RULES[n % 24]
+        if n < 4:  # closed_form_bound rejects n < 2 and decides n = 3 outside the table
+            low = closed_form_bound(n).value
         else:
-            for predicate, divisor, value in tests:
+            for predicate, divisor, value, _ in tests:
                 if names[predicate](n // divisor):
                     low = value
                     break

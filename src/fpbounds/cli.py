@@ -1,8 +1,9 @@
 """Command-line surface: bounds, divisibility moduli, the summary table,
 Chern evaluation of profile files, witnesses, and the `verify` report.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or input error.
-All output is deterministic; no environment variables are consulted.
+Exit codes: 0 success, 1 verification mismatch, 2 usage or input error or
+out of memory.  All output is deterministic; no environment variables are
+consulted.
 """
 
 from __future__ import annotations
@@ -81,18 +82,6 @@ def _md_pieces(rows: Iterable[tuple]) -> Iterator[str]:
 
 
 _TABLE_PIECES = {"csv": _csv_pieces, "json": _json_pieces, "md": _md_pieces}
-
-
-def render_table_csv(rows: Iterable[tuple]) -> str:
-    return "".join(_csv_pieces(rows))
-
-
-def render_table_json(rows: Iterable[tuple]) -> str:
-    return "".join(_json_pieces(rows))
-
-
-def render_table_md(rows: Iterable[tuple]) -> str:
-    return "".join(_md_pieces(rows))
 
 
 @click.group()
@@ -287,4 +276,8 @@ def verify(ctx: click.Context, max_m: int, lattice_max_n: int) -> None:
 
 
 def main() -> None:
-    cli()
+    try:
+        cli()
+    except MemoryError:  # exit 1 is kept for a verification mismatch
+        click.echo("Error: out of memory", err=True)
+        raise SystemExit(2)

@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -6,13 +7,13 @@ from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fpbounds.bounds
 import fpbounds.cli
 from fpbounds.bounds import (
     _BRANCHES,
     _CASES,
-    _ROW_RULES,
+    _RULES,
     UnsupportedHalfDimension,
-    _case_key,
     c1_zero_refinement_applies,
     closed_form_bound,
     conjecture_comparison,
@@ -303,8 +304,8 @@ def test_conjecture_comparison_nothing_beyond_41():
 
 
 def _assert_rows_agree_with_api(rows):
-    """`summary_rows` reads `_case` directly; its rows must equal what the
-    public API gives for the same n."""
+    """`summary_rows` reads `_RULES` and runs the case tests itself; its rows
+    must equal what the public API gives for the same n."""
     for row in rows:
         n = row.dim // 2
         low, step = min_fixed_points(n), divisibility_modulus(n)
@@ -341,15 +342,43 @@ def test_residue_rule_divides_the_gcd_rule():
         == [12, 24, 4, 8]
 
 
-@pytest.mark.parametrize("base", [10**12, 10**18])
+@pytest.mark.parametrize("base", [2, 10**12, 10**18])
 def test_row_rules_match_the_per_n_functions(base):
-    """Each _ROW_RULES entry against the rules it is read off, at one n per residue."""
-    for n in range(base, base + 24):
-        tests, default, modulus, c1_modulus = _ROW_RULES[n % 24]
-        case_tests, (case_default, _) = _CASES[_case_key(n)]
-        assert tests == tuple(test[:3] for test in case_tests), n
-        assert default == case_default, n
+    """Each _RULES entry against the per-n rules it is read off, at two n per residue."""
+    for n in range(base, base + 48):
+        r, tests, default, modulus, c1_modulus = _RULES[n % 24]
+        assert r == math.gcd(n // 2 - n % 2, 12), n
+        assert (tests, default) == _CASES[n % 2, r], n
         assert modulus == divisibility_modulus(n), n
         refined = divisibility_refined(n, c1_zero=True).modulus_refined
         assert c1_modulus == (refined if c1_zero_refinement_applies(n) else 0), n
-    _assert_rows_agree_with_api(summary_rows(range(2 * base, 2 * base + 48, 2)))
+    _assert_rows_agree_with_api(summary_rows(range(2 * base, 2 * base + 96, 2)))
+
+
+def _per_n_case(n):
+    """(m, r, value, branch, l) with n's key (n % 2, r) worked out from n's gcd
+    and looked up in _CASES, not read off _RULES."""
+    if n == 3:
+        return 1, 12, 2, "odd/m=1", 1
+    r = math.gcd(n // 2 - n % 2, 12)
+    tests, (value, branch) = _CASES[n % 2, r]
+    for predicate, divisor, test_value, test_branch in tests:
+        if getattr(fpbounds.bounds, predicate)(n // divisor):
+            value, branch = test_value, test_branch
+            break
+    return n // 2, r, value, branch, value * r // (24 if n % 2 else 12)
+
+
+def _bound_fields(n):
+    res = closed_form_bound(n)
+    return res.m, res.r, res.value, res.branch, res.l
+
+
+def test_bound_agrees_with_the_per_n_key_up_to_20000():
+    for n in range(2, 20001):
+        assert _bound_fields(n) == _per_n_case(n), n
+
+
+@given(st.integers(2, 10**12))
+def test_bound_agrees_with_the_per_n_key_property(n):
+    assert _bound_fields(n) == _per_n_case(n)

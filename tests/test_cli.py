@@ -12,19 +12,18 @@ from hypothesis import strategies as st
 
 import fpbounds
 from fpbounds.bounds import (
-    _ROW_RULES,
+    _RULES,
     UnsupportedHalfDimension,
     closed_form_bound,
     divisibility_modulus,
     min_fixed_points,
 )
 from fpbounds.cli import (
+    _TABLE_PIECES,
     _bound_payload,
     _int_list,
     _render_json,
     cli,
-    render_table_csv,
-    render_table_json,
     summary_rows,
 )
 from fpbounds.chern import Parity
@@ -200,15 +199,15 @@ def _csv_reference(rows):
 @pytest.mark.parametrize("dims", list(_TABLE_WINDOWS.values()), ids=list(_TABLE_WINDOWS))
 def test_table_renderers_match_references(dims):
     rows = summary_rows(dims)
-    assert render_table_json(rows) == _json_reference(rows)
-    assert render_table_csv(rows) == _csv_reference(rows)
+    assert "".join(_TABLE_PIECES["json"](rows)) == _json_reference(rows)
+    assert "".join(_TABLE_PIECES["csv"](rows)) == _csv_reference(rows)
 
 
 @given(st.integers(2, 10**12), st.integers(0, 12))
 def test_table_renderers_match_references_property(start, count):
     rows = summary_rows(list(range(2 * start, 2 * (start + count), 2)))
-    assert render_table_json(rows) == _json_reference(rows)
-    assert render_table_csv(rows) == _csv_reference(rows)
+    assert "".join(_TABLE_PIECES["json"](rows)) == _json_reference(rows)
+    assert "".join(_TABLE_PIECES["csv"](rows)) == _csv_reference(rows)
 
 
 def test_table_formats_mutually_consistent_far(runner):
@@ -274,6 +273,21 @@ def test_table_memory_is_bounded(tmp_path):
     assert text.startswith(b'[\n  {\n    "dim": 4,\n') and text.endswith(b"  }\n]\n")
     assert text.count(b'"dim": ') == 200000 and text.count(b"\n  },\n  {\n") == 199999
     assert b'"dim": 400002,' in text[-300:]
+
+
+def test_out_of_memory_is_an_input_error():
+    """A witness whose JSON does not fit a 128 MB address space exits 2 with one
+    error line, not 1 (the code of a verification mismatch) with a traceback."""
+    code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20)); "
+            "from fpbounds.cli import main; main()")
+    src = str(pathlib.Path(fpbounds.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", code, "bound", "20000000", "--witness", "--format", "json"],
+                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+                         timeout=120)
+    stderr = res.stderr.decode()
+    assert res.returncode == 2, stderr[-500:]
+    assert "Traceback" not in stderr
+    assert stderr == "Error: out of memory\n"
 
 
 def _write_profile(tmp_path, payload):
@@ -552,8 +566,8 @@ def _branch_x_at_1008_and_99(n):
 
 
 def _rules_with_modulus_5_at_residue_5():
-    tests, default, _, c1_mod = _ROW_RULES[5]
-    return _ROW_RULES[:5] + ((tests, default, 5, c1_mod),) + _ROW_RULES[6:]
+    r, tests, default, _, c1_mod = _RULES[5]
+    return _RULES[:5] + ((r, tests, default, 5, c1_mod),) + _RULES[6:]
 
 
 # Neither n = 1008 nor n = 99 is swept at --max-m 30, and the lattice check stops
@@ -571,7 +585,7 @@ def _rules_with_modulus_5_at_residue_5():
             ],
         ),
         (
-            "fpbounds.bounds._ROW_RULES", _rules_with_modulus_5_at_residue_5(), "4",
+            "fpbounds.bounds._RULES", _rules_with_modulus_5_at_residue_5(), "4",
             [
                 "FAIL: summary table dims 4..30: dim=10: expected (24, 24, 3, 6), "
                 "got (24, 5, 3, 6)",
