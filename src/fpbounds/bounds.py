@@ -6,9 +6,9 @@ The bound depends on r = gcd(m, 12) for n = 2m and r = gcd(m-1, 12) for
 n = 2m+1.  The whole case analysis is one table, _CASES, keyed by
 (n % 2, r): each key lists its sub-case tests in the order they are tried
 (square tests, the two-squares criterion, the 4^k(8t+7) obstruction,
-n = 28 mod 32, triangularity) and a default.  Every case carries its full
-branch string, such as "even/r=12/legendre-ok", a stable public string
-that tests pin; verify's list of the 27 cases is read off the same table.
+triangularity) and a default.  Every case carries its full branch string,
+such as "even/r=12/legendre-ok", a stable public string that tests pin;
+verify's list of the 27 cases is read off the same table.
 closed_form_bound and the summary table's rows both read _RULES, built at
 import from _CASES and the two moduli, one entry per residue of n mod 24.
 """
@@ -83,10 +83,6 @@ class DivisibilityResult:
     c1_zero: bool
 
 
-def _not_28_mod_32(n: int) -> bool:
-    return n % 32 != 28
-
-
 def _legendre_ok(n: int) -> bool:
     return not is_legendre_form(n)
 
@@ -98,14 +94,16 @@ def _legendre_ok(n: int) -> bool:
 # this module's name (bench/spans.py, monkeypatch) sees each one.
 _CASES = {
     (0, 1): ((), (12, "even/r=1")),
-    (0, 2): ((("_not_28_mod_32", 1, 6, "even/r=2/not-28-mod-32"),), (12, "even/r=2/28-mod-32")),
+    # Keys (0, 2) and (0, 6) hold only n = 4 mod 8, where n/4 is odd, so n is
+    # 4^k(8t+7) exactly when n = 28 mod 32: _legendre_ok is the 28 mod 32 test.
+    (0, 2): ((("_legendre_ok", 1, 6, "even/r=2/not-28-mod-32"),), (12, "even/r=2/28-mod-32")),
     (0, 3): ((("two_squares_criterion", 6, 4, "even/r=3/Euler"),), (8, "even/r=3/non-Euler")),
     (0, 4): ((("is_square", 2, 3, "even/r=4/n-2-square"),
               ("_legendre_ok", 1, 6, "even/r=4/legendre-ok")),
              (9, "even/r=4/legendre-fails")),
     (0, 6): ((("is_square", 12, 2, "even/r=6/n-12-square"),
               ("two_squares_criterion", 6, 4, "even/r=6/Euler"),
-              ("_not_28_mod_32", 1, 6, "even/r=6/not-28-mod-32")),
+              ("_legendre_ok", 1, 6, "even/r=6/not-28-mod-32")),
              (8, "even/r=6/28-mod-32")),
     (0, 12): ((("is_square", 12, 2, "even/r=12/n-12-square"),
                ("is_square", 2, 3, "even/r=12/n-2-square"),

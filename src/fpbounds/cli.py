@@ -1,9 +1,9 @@
-"""Command-line surface: bounds, divisibility moduli, the summary table,
-Chern evaluation of profile files, witnesses, and the `verify` report.
+"""Command-line surface: bounds, divisibility moduli, the summary table, Chern
+evaluation of profile files, witnesses and the `verify` report, each written in
+pieces through one writer, `_write`, so no document is joined whole in memory.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or input error or
-out of memory.  All output is deterministic; no environment variables are
-consulted.
+out of memory.  All output is deterministic; no environment variables are consulted.
 """
 
 from __future__ import annotations
@@ -84,6 +84,15 @@ def _md_pieces(rows: Iterable[tuple]) -> Iterator[str]:
 _TABLE_PIECES = {"csv": _csv_pieces, "json": _json_pieces, "md": _md_pieces}
 
 
+def _write(pieces: Iterable[str]) -> None:
+    """Write each piece to stdout as it comes, so no document is joined whole."""
+    out = click.get_text_stream("stdout")
+    if out is not None:  # None with fd 1 closed: write nothing, as click.echo does
+        for piece in pieces:
+            out.write(piece)
+        out.flush()
+
+
 @click.group()
 def cli() -> None:
     """Minimal fixed-point counts of circle actions with c1*c(n-1)[M] = 0."""
@@ -99,39 +108,19 @@ def _require_half_dimension(n: int) -> None:
 
 
 def _int_list(length: int, entries: list[tuple[int, int]],
-              left: str, sep: str, right: str) -> list[str]:
-    """Pieces that join to the list of `length` >= 1 ints that are zero except
-    at `entries`, (index, value) pairs with the index increasing.  Runs of
-    zeros are made by string repetition, so only the entries cost Python work."""
-    zero = "0" + sep
-    pieces, start = [left], 0
+              left: str, sep: str, right: str) -> Iterator[str]:
+    """The pieces of the list of `length` >= 1 ints that are zero except at `entries`,
+    (index, value) pairs by increasing index.  Each run of zeros is one string made by repetition."""
+    zero, start = "0" + sep, 0
+    yield left
     for i, value in entries:
-        pieces += (zero * (i - start), str(value), sep)
+        yield zero * (i - start)
+        yield f"{value}{sep}" if i + 1 < length else str(value)
         start = i + 1
-    if start < length:
-        pieces += (zero * (length - start - 1), "0")
-    else:
-        pieces.pop()  # no separator after the last entry
-    pieces.append(right)
-    return pieces
-
-
-def _render_json(payload: dict) -> str:
-    """Exactly json.dumps(payload, indent=2), in one join, for a nonempty dict of
-    scalars, strings and int lists given as (length, entries) for `_int_list`,
-    which print as the dense list."""
-    pieces = ["{"]
-    for key, value in payload.items():
-        pieces += ("\n  ", encode_basestring_ascii(key), ": ")  # json.dumps(key), less set-up
-        if type(value) is int:
-            pieces.append(str(value))  # as json.dumps prints it, without its per-call set-up
-        elif isinstance(value, tuple):
-            pieces += _int_list(*value, "[\n    ", ",\n    ", "\n  ]")
-        else:
-            pieces.append(json.dumps(value))
-        pieces.append(",")
-    pieces[-1] = "\n}"
-    return "".join(pieces)
+    if start < length:  # the zeros after the last entry, the last one without a separator
+        yield zero * (length - start - 1)
+        yield "0"
+    yield right
 
 
 def _bound_payload(n: int, c1_zero: bool, with_witness: bool) -> dict:
@@ -149,23 +138,31 @@ def _bound_payload(n: int, c1_zero: bool, with_witness: bool) -> dict:
     return payload
 
 
-def _echo_payload(payload: dict, fmt: str, labels: dict[str, str]) -> None:
-    """Print `payload` as `_render_json` writes it, or as text: the header
-    `n = N (dim 2N)`, then one `label = value` line for each key of `labels`
-    that the payload has, in the payload's key order.  Int lists given as
-    (length, entries) print as the dense list, `[0, 1, 1, 0]`."""
+def _payload_pieces(payload: dict, fmt: str, labels: dict[str, str]) -> Iterator[str]:
+    """`payload` in pieces, newline included, for a nonempty dict of scalars, strings and
+    int lists given as (length, entries) for `_int_list`, which print as the dense list.
+    As JSON they join to exactly json.dumps(payload, indent=2); as text, to the header
+    `n = N (dim 2N)` and one `label = value` line per key of `labels`, in payload order."""
     if fmt == "json":
-        click.echo(_render_json(payload))
+        sep = "{\n  "
+        for key, value in payload.items():
+            yield sep + encode_basestring_ascii(key) + ": "  # json.dumps(key), less set-up
+            if isinstance(value, tuple):
+                yield from _int_list(*value, "[\n    ", ",\n    ", "\n  ]")
+            else:  # str(int) prints it as json.dumps does, without its per-call set-up
+                yield str(value) if type(value) is int else json.dumps(value)
+            sep = ",\n  "
+        yield "\n}\n"
         return
-    pieces = [f"n = {payload['n']} (dim {payload['dim']})"]
+    yield f"n = {payload['n']} (dim {payload['dim']})"
     for key, value in payload.items():
         if key in labels:
-            pieces += ("\n", labels[key], " = ")
+            yield f"\n{labels[key]} = "
             if isinstance(value, tuple):
-                pieces += _int_list(*value, "[", ", ", "]")
+                yield from _int_list(*value, "[", ", ", "]")
             else:
-                pieces.append(str(value))
-    click.echo("".join(pieces))
+                yield str(value)
+    yield "\n"
 
 
 _format_option = click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
@@ -179,9 +176,9 @@ _format_option = click.option("--format", "fmt", type=click.Choice(["text", "jso
 def bound(n: int, c1_zero: bool, with_witness: bool, fmt: str) -> None:
     """Lower bound for the number of fixed points in half-dimension N."""
     _require_half_dimension(n)
-    _echo_payload(_bound_payload(n, c1_zero, with_witness), fmt,
-                  {"value": "bound", "branch": "branch", "m": "m", "r": "r", "l": "l",
-                   "witness": "witness", "witness_total": "witness total"})
+    _write(_payload_pieces(_bound_payload(n, c1_zero, with_witness), fmt,
+                           {"value": "bound", "branch": "branch", "m": "m", "r": "r", "l": "l",
+                            "witness": "witness", "witness_total": "witness total"}))
 
 
 @cli.command()
@@ -193,9 +190,9 @@ def divisibility(n: int, c1_zero: bool, fmt: str) -> None:
     _require_half_dimension(n)
     # The result's fields in order: n keeps its place before dim.
     payload = {"n": n, "dim": 2 * n, **vars(divisibility_refined(n, c1_zero=c1_zero))}
-    _echo_payload(payload, fmt, {"modulus_gcd": "gcd modulus",
-                                 "modulus_hirzebruch": "hirzebruch modulus",
-                                 "modulus_refined": "refined modulus"})
+    _write(_payload_pieces(payload, fmt, {"modulus_gcd": "gcd modulus",
+                                          "modulus_hirzebruch": "hirzebruch modulus",
+                                          "modulus_refined": "refined modulus"}))
 
 
 def _parse_dims(spec: str) -> range:
@@ -216,8 +213,7 @@ def _parse_dims(spec: str) -> range:
 @click.option("--format", "fmt", type=click.Choice(["csv", "json", "md"]), default="md")
 def table(dims: str, fmt: str) -> None:
     """Summary table of possible fixed-point counts per dimension."""
-    for piece in _TABLE_PIECES[fmt](_row_tuples(_parse_dims(dims))):
-        click.echo(piece, nl=False)
+    _write(_TABLE_PIECES[fmt](_row_tuples(_parse_dims(dims))))
 
 
 @cli.command()
@@ -236,13 +232,11 @@ def chern(profile_path: str) -> None:
     except ProfileError as exc:
         raise click.UsageError(str(exc))
     try:  # both numbers can pass Python's digit limit for int to str
-        text = f"c1*c(n-1)[M] = {value}\nfixed points = {profile.total()}"
+        text = f"c1*c(n-1)[M] = {value}\nfixed points = {profile.total()}\nsymmetric = yes\n"
     except ValueError as exc:
         raise click.UsageError(f"result is too long to print: {exc}")
-    click.echo(text)
-    click.echo("symmetric = yes")
-    if profile.n == 3:
-        click.echo(f"dim-6 classification = {dim6_hamiltonian_classifier(value).value}")
+    dim6 = f"dim-6 classification = {dim6_hamiltonian_classifier(value).value}\n" if profile.n == 3 else ""
+    _write((text, dim6))
 
 
 @cli.command()
@@ -256,7 +250,7 @@ def witness(n: int, fmt: str) -> None:
                "total": sum(count for _, count in entries), "c1cn1": _chern_sum(n, entries)}
     if payload["c1cn1"]:
         raise click.ClickException(f"witness of n = {n}: c1*c(n-1)[M] = {payload['c1cn1']}, not 0")
-    _echo_payload(payload, fmt, {"counts": "profile", "total": "total", "c1cn1": "c1*c(n-1)[M]"})
+    _write(_payload_pieces(payload, fmt, {"counts": "profile", "total": "total", "c1cn1": "c1*c(n-1)[M]"}))
 
 
 @cli.command()
@@ -270,7 +264,7 @@ def verify(ctx: click.Context, max_m: int, lattice_max_n: int) -> None:
     if lattice_max_n < 2:
         raise click.UsageError(f"--lattice-max-n must be >= 2, got {lattice_max_n}")
     lines = verify_report(max_m, lattice_max_n)
-    click.echo("\n".join(lines))
+    _write(f"{line}\n" for line in lines)
     if lines[-1] == "RESULT FAIL":
         ctx.exit(1)
 

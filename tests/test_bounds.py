@@ -14,6 +14,7 @@ from fpbounds.bounds import (
     _CASES,
     _RULES,
     UnsupportedHalfDimension,
+    _legendre_ok,
     c1_zero_refinement_applies,
     closed_form_bound,
     conjecture_comparison,
@@ -353,6 +354,22 @@ def test_row_rules_match_the_per_n_functions(base):
         refined = divisibility_refined(n, c1_zero=True).modulus_refined
         assert c1_modulus == (refined if c1_zero_refinement_applies(n) else 0), n
     _assert_rows_agree_with_api(summary_rows(range(2 * base, 2 * base + 96, 2)))
+
+
+def test_legendre_test_is_the_28_mod_32_test_in_keys_2_and_6():
+    """Keys (0, 2) and (0, 6) hold only n = 4 mod 8, where n/4 is odd, so
+    n = 4^k(8t+7) exactly when n = 28 mod 32 and _legendre_ok decides both."""
+    for residue, (r, *_) in enumerate(_RULES):
+        if residue % 2 == 0 and r in (2, 6):
+            assert residue % 8 == 4, residue
+    for n in range(4, 10**6, 8):
+        assert (n % 32 != 28) == _legendre_ok(n), n
+
+
+@given(st.integers(0, 10**18 // 8))
+def test_legendre_test_is_the_28_mod_32_test_property(k):
+    n = 8 * k + 4
+    assert (n % 32 != 28) == _legendre_ok(n)
 
 
 def _per_n_case(n):

@@ -22,7 +22,7 @@ from fpbounds.cli import (
     _TABLE_PIECES,
     _bound_payload,
     _int_list,
-    _render_json,
+    _payload_pieces,
     cli,
     summary_rows,
 )
@@ -288,6 +288,40 @@ def test_out_of_memory_is_an_input_error():
     assert res.returncode == 2, stderr[-500:]
     assert "Traceback" not in stderr
     assert stderr == "Error: out of memory\n"
+
+
+def test_big_witness_streams_in_256_mb():
+    """The 140 MB witness JSON of n = 2*10^7 is written piece by piece, so it fits
+    a 256 MB address space; joined whole it needed about three copies of itself."""
+    code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)); "
+            "from fpbounds.cli import main; main()")
+    src = str(pathlib.Path(fpbounds.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-c", code, "bound", "20000000", "--witness", "--format", "json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+    size, tail = 0, b""
+    while chunk := proc.stdout.read(1 << 20):  # the parent never holds the whole output
+        size, tail = size + len(chunk), (tail + chunk)[-16:]
+    stderr = proc.stderr.read().decode()
+    proc.stdout.close()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0, stderr[-500:]
+    assert stderr == ""
+    assert size == 140000174
+    assert tail.endswith(b"\n}\n")
+
+
+@pytest.mark.parametrize("args", [["bound", "5"], ["table", "--dims", "4..8"],
+                                  ["verify", "--max-m", "1", "--lattice-max-n", "2"]],
+                         ids=["bound", "table", "verify"])
+def test_closed_stdout_writes_nothing_and_exits_0(args):
+    """With fd 1 closed, sys.stdout is None: the commands write nothing and
+    succeed, as click.echo lets them, rather than fail on the missing stream."""
+    src = str(pathlib.Path(fpbounds.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", "from fpbounds.cli import main; main()", *args],
+                         stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+                         preexec_fn=lambda: os.close(1), timeout=120)
+    assert res.returncode == 0, res.stderr.decode()[-500:]
+    assert res.stderr == b""
 
 
 def _write_profile(tmp_path, payload):
@@ -659,7 +693,7 @@ json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_si
 def test_render_json_matches_stdlib(payload):
     sparse = {k: (len(v), _entries(v)) if isinstance(v, list) and v else v
               for k, v in payload.items()}
-    assert _render_json(sparse) == json.dumps(payload, indent=2)
+    assert "".join(_payload_pieces(sparse, "json", {})) == json.dumps(payload, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -687,16 +721,18 @@ def _entries(dense):
 )
 def test_sparse_list_renders_as_dense(dense):
     sparse = (len(dense), _entries(dense))
-    assert _render_json({"n": 1, "counts": sparse}) == json.dumps({"n": 1, "counts": dense}, indent=2)
+    assert "".join(_payload_pieces({"n": 1, "counts": sparse}, "json", {})) == json.dumps(
+        {"n": 1, "counts": dense}, indent=2
+    ) + "\n"
     assert "".join(_int_list(*sparse, "[", ", ", "]")) == str(dense)
 
 
 @given(sparse_int_lists().filter(bool))
 def test_sparse_list_renders_as_dense_property(dense):
     sparse = (len(dense), _entries(dense))
-    assert _render_json({"counts": sparse, "total": 1}) == json.dumps(
+    assert "".join(_payload_pieces({"counts": sparse, "total": 1}, "json", {})) == json.dumps(
         {"counts": dense, "total": 1}, indent=2
-    )
+    ) + "\n"
     assert "".join(_int_list(*sparse, "[", ", ", "]")) == str(dense)
 
 
@@ -708,7 +744,7 @@ def test_c1_zero_scaled_witness_renders_as_dense(n):
     dense = [scale * c for c in witness_full_profile(n).counts]
     assert payload["witness"] == (len(dense), _entries(dense))
     expected = dict(payload, witness=dense)
-    assert _render_json(payload) == json.dumps(expected, indent=2)
+    assert "".join(_payload_pieces(payload, "json", {})) == json.dumps(expected, indent=2) + "\n"
     assert "".join(_int_list(*payload["witness"], "[", ", ", "]")) == str(dense)
 
 
